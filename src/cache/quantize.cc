@@ -88,9 +88,6 @@ quantizationErrorBound(double delta)
 
 namespace {
 
-/** Coarse bins must fit the 24-bit field of the packed leaf key. */
-constexpr int kMaxAdaptiveBaseBins = 1 << 24;
-
 std::uint64_t
 packLeafKey(std::int64_t coarseBin, int depth, std::uint64_t path)
 {
@@ -104,7 +101,7 @@ AdaptiveAngleGrid::AdaptiveAngleGrid(int baseBins) : bins_(baseBins)
 {
     fatalIf(baseBins <= 0,
             "adaptive grid needs a positive base bin count");
-    fatalIf(baseBins >= kMaxAdaptiveBaseBins,
+    fatalIf(baseBins >= kMaxBaseBins,
             "adaptive grid base bin count exceeds the key space");
     leaves_ = static_cast<std::size_t>(baseBins);
 }
@@ -212,7 +209,7 @@ quantizeBlock(const Circuit& symbolic, const std::vector<double>& theta,
             const double angle = op.angle.bind(theta);
             if (op.angle.isSymbolic()) {
                 // Per-gate budget, identical to serve() and
-                // snapSymbolicRotations(): a rotation whose snap fits
+                // snapServedRotations(): a rotation whose snap fits
                 // is quantized, one that would overdraw stays exact
                 // (bin -1) — the budget never gates on the block sum.
                 const double bound_here = quantizationErrorBound(
@@ -238,34 +235,6 @@ quantizeBlock(const Circuit& symbolic, const std::vector<double>& theta,
     out.fingerprint = fingerprintBlock(snapped);
     out.snapped = std::move(snapped);
     return out;
-}
-
-Circuit
-snapSymbolicRotations(const Circuit& symbolic,
-                      const std::vector<double>& theta,
-                      const ParamQuantization& quantization)
-{
-    Circuit bound(symbolic.numQubits());
-    for (const GateOp& op : symbolic.ops()) {
-        GateOp next = op;
-        if (gateIsRotation(op.kind)) {
-            const double angle = op.angle.bind(theta);
-            double value = angle;
-            if (op.angle.isSymbolic()) {
-                // Per-gate budget check mirrors the serve path, which
-                // quantizes one rotation per strict segment: a gate
-                // whose snap would overdraw the budget stays exact.
-                const double delta =
-                    snapDelta(angle, quantization.bins);
-                if (quantizationErrorBound(delta) <=
-                    quantization.fidelityBudget)
-                    value = snapAngle(angle, quantization.bins);
-            }
-            next.angle = ParamExpr::constant(value);
-        }
-        bound.add(next);
-    }
-    return bound;
 }
 
 } // namespace qpc

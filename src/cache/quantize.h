@@ -20,8 +20,13 @@
  *    exp(-i theta P / 2) snapped by delta differs from the exact
  *    unitary by operator norm 2*sin(|delta|/4) <= |delta|/2 (up to
  *    global phase), and per-rotation bounds add across a block. When
- *    the block's total bound exceeds the caller's fidelity budget, the
- *    serve path falls back to exact synthesis instead.
+ *    one rotation's bound exceeds the caller's per-gate fidelity
+ *    budget, the serve path serves that rotation exactly instead.
+ *
+ * There is one serve path: CompileService::serve() snaps through a
+ * per-axis AdaptiveAngleGrid, which is the uniform grid until an
+ * adaptive plan refines it. quantizeBlock() below is the reference
+ * form of that path's keying, which the tests hold serve() to.
  */
 
 #ifndef QPC_CACHE_QUANTIZE_H
@@ -50,9 +55,9 @@ struct ParamQuantization
      * quantizationErrorBound). A rotation whose snap would overdraw
      * this is served/simulated at its exact bound angle instead —
      * the same semantic everywhere: CompileService::serve(),
-     * snapSymbolicRotations(), and quantizeBlock(). The default
-     * comfortably admits the default grid: one rotation snaps by at
-     * most step/4 ~ 1.5e-3.
+     * CompileService::snapServedRotations(), and quantizeBlock(). The
+     * default comfortably admits the default grid: one rotation snaps
+     * by at most step/4 ~ 1.5e-3.
      */
     double fidelityBudget = 1e-2;
 
@@ -64,7 +69,9 @@ struct ParamQuantization
      * never pay for resolution. See AdaptiveAngleGrid and
      * CompileService::refineQuantizedGrid().
      *  @{ */
-    /** Enable convergence-aware bin refinement (needs `enabled`). */
+    /** Let CompileService::refineQuantizedGrid() split leaves (needs
+     * `enabled`). Off, nothing ever splits and the grid stays the
+     * uniform `bins` grid. */
     bool adaptive = false;
     /**
      * Cap on splits per coarse bin: a leaf at depth d has width
@@ -131,6 +138,9 @@ class AdaptiveAngleGrid
      * mantissa); split() refuses beyond it, and owners must validate
      * their refine-depth knobs against it up front. */
     static constexpr int kMaxDepth = 32;
+    /** Base bin counts must stay below this (the coarse bin's 24-bit
+     * field of the packed leaf key); owners validate up front. */
+    static constexpr int kMaxBaseBins = 1 << 24;
 
     AdaptiveAngleGrid() = default;
     explicit AdaptiveAngleGrid(int baseBins);
@@ -251,12 +261,11 @@ struct QuantizedBlock
     std::vector<std::int64_t> bins;
     /** Every symbolic rotation fit the per-gate budget (no -1 bins):
      * the whole block is on the grid. NOTE: the budget is per *gate*
-     * — matching serve() and snapSymbolicRotations(), which check and
-     * fall back one rotation at a time — so a fully-snapped
-     * multi-rotation block's summed errorBound may legitimately
-     * exceed fidelityBudget. (It used to be per-block here, declaring
-     * blocks over-budget that the serve path happily snapped
-     * gate-by-gate.) */
+     * — matching serve(), which checks and falls back one rotation at
+     * a time — so a fully-snapped multi-rotation block's summed
+     * errorBound may legitimately exceed fidelityBudget. (It used to
+     * be per-block here, declaring blocks over-budget that the serve
+     * path happily snapped gate-by-gate.) */
     bool withinBudget = true;
 };
 
@@ -269,28 +278,17 @@ struct QuantizedBlock
  * snapped block, so every binding inside one bin resolves to the same
  * cache entry.
  *
- * This is the reference form of the quantized keying;
- * CompileService::serve() inlines the same bind -> bin -> budget ->
- * bound sequence against per-axis fingerprint tables precomputed at
- * prepareServing() time (re-deriving a unitary fingerprint per
- * iteration would cost more than the lookup it replaces), and
- * snapSymbolicRotations() below is the full-circuit mirror. All
- * three share the per-gate budget semantic — keep them in lockstep.
+ * This is the reference form of the quantized keying, and the test
+ * reference for the one serve path: on a plan that never refined,
+ * CompileService::serve() runs the same bind -> bin -> budget -> bound
+ * sequence through grid leaves fingerprinted at prepareServing() time
+ * (re-deriving a unitary fingerprint per iteration would cost more
+ * than the lookup it replaces), and CompileService::snapServedRotations()
+ * returns this function's `snapped` circuit.
  */
 QuantizedBlock quantizeBlock(const Circuit& symbolic,
                              const std::vector<double>& theta,
                              const ParamQuantization& quantization);
-
-/**
- * Full-circuit counterpart for simulation: bind a symbolic template,
- * snapping each parametrized rotation that fits the *per-gate* budget
- * and keeping the exact bound angle otherwise — exactly the circuit
- * the quantized serve path's pulses realize, so drivers that simulate
- * "hardware" evaluate the same physics the cache serves.
- */
-Circuit snapSymbolicRotations(const Circuit& symbolic,
-                              const std::vector<double>& theta,
-                              const ParamQuantization& quantization);
 
 } // namespace qpc
 

@@ -29,13 +29,6 @@ rotationAt(const Circuit& gate, double angle)
     return snapped;
 }
 
-/** One strict segment's rotation, rebuilt at a grid bin's angle. */
-Circuit
-snappedRotation(const Circuit& gate, std::int64_t bin, int bins)
-{
-    return rotationAt(gate, binAngle(bin, bins));
-}
-
 /** Analytic library pulse for one local block on a clique device. */
 PulseSchedule
 analyticPulse(const Circuit& block, double dt)
@@ -57,6 +50,12 @@ validateQuantization(const ParamQuantization& quantization)
                  quantization.fidelityBudget < 0.0),
             "quantization needs a positive bin count and a "
             "non-negative fidelity budget");
+    // Every enabled plan serves through an AdaptiveAngleGrid, whose
+    // packed leaf key caps the base bin count.
+    fatalIf(quantization.enabled &&
+                quantization.bins >= AdaptiveAngleGrid::kMaxBaseBins,
+            "quantization bin count exceeds the angle grid's key "
+            "space");
     fatalIf(quantization.enabled && quantization.adaptive &&
                 (quantization.maxRefineDepth <= 0 ||
                  quantization.maxRefineDepth >
@@ -457,35 +456,48 @@ BatchCompileReport
 CompileService::prewarmQuantizedBins(const ServingPlan& plan)
 {
     const auto start = std::chrono::steady_clock::now();
-    const ParamQuantization& quantization = plan.quant_;
-    if (!quantization.enabled) {
-        BatchCompileReport report;
-        report.wallSeconds = 0.0;
-        return report;
-    }
+    if (!plan.quant_.enabled)
+        return BatchCompileReport{};
 
-    // Enumerate the grid once per distinct snapped circuit: segments
+    // Enumerate each axis's current leaves once per segment: segments
     // sharing a rotation axis (every QAOA mixer Rx, say) collapse in
     // compileEntries' fingerprint dedupe, so the worker pool sees each
-    // (axis, bin) exactly once.
+    // served leaf exactly once. An unrefined plan warms its whole
+    // uniform grid; a refined one warms exactly the leaves serve()
+    // would hit, never the parents refinement released.
     std::vector<ServingPlan::FixedEntry> entries;
     for (const ServingPlan::PlanSegment& segment : plan.segments_) {
         if (segment.fixed)
             continue;
-        const auto table =
-            plan.binTables_.find(segment.gate.ops().front().kind);
-        panicIf(table == plan.binTables_.end(),
-                "serving plan is missing a quantized bin table");
-        for (int bin = 0; bin < quantization.bins; ++bin) {
+        const ServingPlan::QuantizedAxis& axis =
+            plan.axisFor(segment.gate.ops().front().kind);
+        // Snapshot under the lock, build circuits outside it: serve()
+        // must never stall behind circuit construction.
+        std::vector<ServingPlan::QuantizedAxis::LeafState> leaves;
+        {
+            std::lock_guard<std::mutex> lock(axis.mu);
+            leaves.reserve(axis.leaves.size());
+            for (const auto& [key, state] : axis.leaves)
+                leaves.push_back(state);
+        }
+        for (const auto& state : leaves) {
             ServingPlan::FixedEntry entry;
-            entry.fingerprint =
-                table->second[static_cast<std::size_t>(bin)];
+            entry.fingerprint = state.fingerprint;
             entry.local =
-                snappedRotation(segment.gate, bin, quantization.bins);
+                rotationAt(axis.gate, state.leaf.representative);
             entries.push_back(std::move(entry));
         }
     }
     return compileEntries(entries, 1, start);
+}
+
+ServingPlan::QuantizedAxis&
+ServingPlan::axisFor(GateKind kind) const
+{
+    const auto it = axes_.find(kind);
+    panicIf(it == axes_.end(),
+            "serving plan is missing a quantized axis");
+    return *it->second;
 }
 
 int
@@ -572,42 +584,30 @@ CompileService::prepareServing(const StrictPartition& partition,
                 plan.kits_.emplace(
                     width, std::make_unique<ServingPlan::LookupKit>(
                                width, options_.lookupDt));
-            // Fingerprint the whole grid for this axis once: serve()
-            // then maps binding -> bin -> address by array index.
+            // One grid per rotation axis, seeded as the uniform grid:
+            // every coarse bin is one leaf whose snapped rotation is
+            // fingerprinted here, so serve() never re-derives a
+            // fingerprint (hashing the snapped unitary per iteration
+            // would cost more than the exact lookup it replaces).
             if (quantization.enabled &&
-                !plan.binTables_.count(relabeled.kind)) {
-                std::vector<BlockFingerprint> table;
-                table.reserve(quantization.bins);
-                for (int bin = 0; bin < quantization.bins; ++bin)
-                    table.push_back(fingerprintStamped(snappedRotation(
-                        out.gate, bin, quantization.bins)));
-                // Adaptive refinement state: every coarse bin starts
-                // as one leaf carrying the fixed grid's fingerprint
-                // (representatives coincide bit-for-bit), so an
-                // unsplit leaf serves — and a prewarmed grid warms —
-                // the very same cache entries.
-                if (quantization.adaptive) {
-                    auto axis =
-                        std::make_shared<ServingPlan::AdaptiveAxis>();
-                    axis->grid = AdaptiveAngleGrid(quantization.bins);
-                    axis->gate = out.gate;
-                    axis->leaves.reserve(
-                        static_cast<std::size_t>(quantization.bins));
-                    for (int bin = 0; bin < quantization.bins; ++bin) {
-                        ServingPlan::AdaptiveAxis::LeafState state;
-                        state.leaf = axis->grid.locate(
-                            binAngle(bin, quantization.bins));
-                        state.fingerprint =
-                            table[static_cast<std::size_t>(bin)];
-                        axis->leaves.emplace(
-                            AdaptiveAngleGrid::leafKey(state.leaf),
-                            std::move(state));
-                    }
-                    plan.adaptiveAxes_.emplace(relabeled.kind,
-                                               std::move(axis));
+                !plan.axes_.count(relabeled.kind)) {
+                auto axis =
+                    std::make_shared<ServingPlan::QuantizedAxis>();
+                axis->grid = AdaptiveAngleGrid(quantization.bins);
+                axis->gate = out.gate;
+                axis->leaves.reserve(
+                    static_cast<std::size_t>(quantization.bins));
+                for (int bin = 0; bin < quantization.bins; ++bin) {
+                    ServingPlan::QuantizedAxis::LeafState state;
+                    state.leaf = axis->grid.locate(
+                        binAngle(bin, quantization.bins));
+                    state.fingerprint = fingerprintStamped(
+                        rotationAt(out.gate, state.leaf.representative));
+                    axis->leaves.emplace(
+                        AdaptiveAngleGrid::leafKey(state.leaf),
+                        std::move(state));
                 }
-                plan.binTables_.emplace(relabeled.kind,
-                                        std::move(table));
+                plan.axes_.emplace(relabeled.kind, std::move(axis));
             }
             plan.segments_.push_back(std::move(out));
         }
@@ -663,25 +663,21 @@ CompileService::serve(const ServingPlan& plan,
             }
         } else {
             // A parametrized rotation. Quantized serving snaps the
-            // binding onto the angle grid — the current adaptive leaf
-            // when the plan refines, the fixed bin otherwise — and
-            // resolves the representative through the
-            // content-addressed cache: one synthesis per bin, ever.
-            // It falls back to the exact path when the snap would
-            // overdraw the per-gate fidelity budget (or quantization
-            // is off): an analytic lookup synthesized per binding,
-            // never cached.
+            // binding onto its axis's current grid leaf (the uniform
+            // bin until refinement splits it) and resolves the
+            // representative through the content-addressed cache: one
+            // synthesis per leaf, ever. It falls back to the exact path
+            // when the snap would overdraw the per-gate fidelity budget
+            // (or quantization is off): an analytic lookup synthesized
+            // per binding, never cached.
             if (plan.quant_.enabled) {
                 const GateOp& op = segment.gate.ops().front();
                 const double angle = op.angle.bind(theta);
                 double representative = 0.0;
                 BlockFingerprint fp;
-                if (plan.quant_.adaptive) {
-                    const auto axis_it =
-                        plan.adaptiveAxes_.find(op.kind);
-                    panicIf(axis_it == plan.adaptiveAxes_.end(),
-                            "serving plan is missing an adaptive axis");
-                    ServingPlan::AdaptiveAxis& axis = *axis_it->second;
+                {
+                    ServingPlan::QuantizedAxis& axis =
+                        plan.axisFor(op.kind);
                     // Short critical section: locate the leaf, read
                     // its fingerprint, feed the visit counter that
                     // drives refinement. Synthesis and cache traffic
@@ -692,28 +688,10 @@ CompileService::serve(const ServingPlan& plan,
                     const auto leaf_it = axis.leaves.find(
                         AdaptiveAngleGrid::leafKey(leaf));
                     panicIf(leaf_it == axis.leaves.end(),
-                            "adaptive axis lost a grid leaf");
+                            "quantized axis lost a grid leaf");
                     ++leaf_it->second.visits;
                     representative = leaf.representative;
                     fp = leaf_it->second.fingerprint;
-                } else {
-                    const std::int64_t bin =
-                        angleBin(angle, plan.quant_.bins);
-                    const auto table = plan.binTables_.find(op.kind);
-                    panicIf(table == plan.binTables_.end(),
-                            "serving plan is missing a quantized bin "
-                            "table");
-                    // Fail loudly on a plan whose bin table disagrees
-                    // with its ParamQuantization::bins (a corrupted or
-                    // hand-assembled plan): indexing by a bin computed
-                    // from the wrong grid would read out of bounds.
-                    panicIf(table->second.size() !=
-                                static_cast<std::size_t>(
-                                    plan.quant_.bins),
-                            "quantized bin table size disagrees with "
-                            "ParamQuantization::bins");
-                    representative = binAngle(bin, plan.quant_.bins);
-                    fp = table->second[static_cast<std::size_t>(bin)];
                 }
                 const double bound =
                     quantizationErrorBound(wrappedAngleDelta(
@@ -807,8 +785,8 @@ CompileService::refineQuantizedGrid(const ServingPlan& plan)
     // parent or both children, never a gap in the topology.
     std::vector<ServingPlan::FixedEntry> children;
     std::vector<BlockFingerprint> stale;
-    for (const auto& [kind, axis_ptr] : plan.adaptiveAxes_) {
-        ServingPlan::AdaptiveAxis& axis = *axis_ptr;
+    for (const auto& [kind, axis_ptr] : plan.axes_) {
+        ServingPlan::QuantizedAxis& axis = *axis_ptr;
 
         struct Candidate
         {
@@ -880,13 +858,13 @@ CompileService::refineQuantizedGrid(const ServingPlan& plan)
                     continue;
                 axis.grid.split(candidate.parent);
                 axis.leaves.erase(parent_key);
-                ServingPlan::AdaptiveAxis::LeafState low_state;
+                ServingPlan::QuantizedAxis::LeafState low_state;
                 low_state.leaf = candidate.lowLeaf;
                 low_state.fingerprint = candidate.low.fingerprint;
                 axis.leaves.emplace(
                     AdaptiveAngleGrid::leafKey(candidate.lowLeaf),
                     std::move(low_state));
-                ServingPlan::AdaptiveAxis::LeafState high_state;
+                ServingPlan::QuantizedAxis::LeafState high_state;
                 high_state.leaf = candidate.highLeaf;
                 high_state.fingerprint = candidate.high.fingerprint;
                 axis.leaves.emplace(
@@ -945,8 +923,8 @@ AdaptiveGridStats
 CompileService::quantizedGridStats(const ServingPlan& plan) const
 {
     AdaptiveGridStats out;
-    for (const auto& [kind, axis_ptr] : plan.adaptiveAxes_) {
-        const ServingPlan::AdaptiveAxis& axis = *axis_ptr;
+    for (const auto& [kind, axis_ptr] : plan.axes_) {
+        const ServingPlan::QuantizedAxis& axis = *axis_ptr;
         std::lock_guard<std::mutex> lock(axis.mu);
         ++out.axes;
         out.leaves += axis.grid.numLeaves();
@@ -965,8 +943,8 @@ CompileService::snapServedRotations(const ServingPlan& plan,
                                     const std::vector<double>& theta)
     const
 {
-    if (!plan.quant_.enabled || !plan.quant_.adaptive)
-        return snapSymbolicRotations(symbolic, theta, plan.quant_);
+    if (!plan.quant_.enabled)
+        return symbolic.bind(theta);
     Circuit bound(symbolic.numQubits());
     for (const GateOp& op : symbolic.ops()) {
         GateOp next = op;
@@ -974,10 +952,8 @@ CompileService::snapServedRotations(const ServingPlan& plan,
             const double angle = op.angle.bind(theta);
             double value = angle;
             if (op.angle.isSymbolic()) {
-                const auto axis_it = plan.adaptiveAxes_.find(op.kind);
-                panicIf(axis_it == plan.adaptiveAxes_.end(),
-                        "serving plan is missing an adaptive axis");
-                ServingPlan::AdaptiveAxis& axis = *axis_it->second;
+                ServingPlan::QuantizedAxis& axis =
+                    plan.axisFor(op.kind);
                 double representative;
                 {
                     // Locate only — simulation must not feed the

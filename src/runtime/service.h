@@ -267,10 +267,10 @@ struct RefinementReport
     double wallSeconds = 0.0;     ///< End-to-end round wall clock.
 };
 
-/** Snapshot of one plan's adaptive grids (all axes pooled). */
+/** Snapshot of one plan's quantized grids (all axes pooled). */
 struct AdaptiveGridStats
 {
-    int axes = 0;             ///< Rotation axes under refinement.
+    int axes = 0;             ///< Rotation axes with a grid.
     std::size_t leaves = 0;   ///< Served leaves across all axes.
     int maxDepth = 0;         ///< Deepest refinement anywhere.
     std::uint64_t splits = 0; ///< Lifetime splits across all axes.
@@ -305,9 +305,6 @@ class ServingPlan
 
   private:
     friend class CompileService;
-    /** Test seam: regression tests corrupt plan internals to prove
-     * serve() fails loudly on inconsistent state. */
-    friend struct ServingPlanTestPeer;
 
     /** A device and its pulse library with stable addresses (the
      * library holds a reference to the device). */
@@ -337,15 +334,18 @@ class ServingPlan
     };
 
     /**
-     * Mutable per-axis half of the *adaptive* quantized path: the
-     * multi-resolution grid topology, plus per-leaf fingerprints and
-     * serve-visit counters. Guarded by `mu` — serve() locates leaves
-     * and bumps visits under it, refineQuantizedGrid() splits hot
-     * leaves under it, so a plan can be refined in place while other
-     * threads serve from it. Held by shared_ptr so the state survives
-     * plan moves and stays mutable behind serve()'s const plan.
+     * One rotation axis of the quantized path: the angle grid's
+     * topology, plus per-leaf fingerprints and serve-visit counters.
+     * Every enabled plan serves through these; until
+     * refineQuantizedGrid() splits a leaf (only ever on an adaptive
+     * plan) the grid is the uniform `bins` grid bit for bit. Guarded by
+     * `mu` — serve() locates leaves and bumps visits under it,
+     * refinement splits hot leaves under it, so a plan can be refined
+     * in place while other threads serve from it. Held by shared_ptr
+     * so the state survives plan moves and stays mutable behind
+     * serve()'s const plan.
      */
-    struct AdaptiveAxis
+    struct QuantizedAxis
     {
         /** One leaf's serve state. */
         struct LeafState
@@ -370,18 +370,12 @@ class ServingPlan
     ParamQuantization quant_;
     /** Calibration epoch captured at prepareServing() time. */
     CalibrationEpoch epoch_;
-    /**
-     * Iteration-invariant half of the quantized path: the content
-     * address of every grid bin's snapped rotation, per axis, computed
-     * once at prepareServing() so serve() never re-derives a
-     * fingerprint (hashing the snapped unitary per iteration would
-     * cost more than the exact analytic lookup it replaces).
-     */
-    std::map<GateKind, std::vector<BlockFingerprint>> binTables_;
-    /** Adaptive refinement state per axis (empty unless adaptive);
-     * coarse leaves are seeded from binTables_, so an unsplit leaf
-     * serves the very same cache entry as the fixed grid. */
-    std::map<GateKind, std::shared_ptr<AdaptiveAxis>> adaptiveAxes_;
+    /** Quantized grid per rotation axis (empty when quantization is
+     * disabled), its leaves fingerprinted at prepareServing(). */
+    std::map<GateKind, std::shared_ptr<QuantizedAxis>> axes_;
+
+    /** The grid of a rotation axis; panics when the plan has none. */
+    QuantizedAxis& axisFor(GateKind kind) const;
 };
 
 /**
@@ -451,21 +445,27 @@ class CompileService
         const;
 
     /**
-     * Grid pre-warm: synthesize every bin of every rotation axis the
-     * plan serves (deduplicated across segments sharing an axis)
-     * through the worker pool, so the hybrid loop's very first
-     * iterations already hit the quantized cache. A no-op report when
+     * Grid pre-warm: synthesize every current leaf of every rotation
+     * axis the plan serves (deduplicated across segments sharing an
+     * axis) through the worker pool, so the hybrid loop's very first
+     * iterations already hit the quantized cache. On an unrefined plan
+     * that is the whole uniform grid (totalBlocks = rotation segments
+     * x bins); on a refined one it is exactly the leaves serve() would
+     * hit, never the parents refinement released. A no-op report when
      * the plan's quantization is disabled. Sizing note: the cache must
-     * hold bins x distinct-axes entries on top of the Fixed blocks to
-     * keep the warmed grid resident.
+     * hold leaves x distinct-axes entries on top of the Fixed blocks
+     * to keep the warmed grid resident.
      */
     BatchCompileReport prewarmQuantizedBins(const ServingPlan& plan);
 
     /**
      * Warm-path compilation of one parameter binding: cached pulses
-     * for the plan's Fixed blocks, analytic lookups for its
-     * parametrized rotations. A cold block (evicted or never
-     * pre-compiled) is synthesized on the spot and counted as a miss.
+     * for the plan's Fixed blocks; for each parametrized rotation, the
+     * cached pulse of its axis's current grid leaf when quantization
+     * is enabled and the per-gate budget admits the snap, an exact
+     * analytic lookup otherwise. A cold block or leaf (evicted or
+     * never pre-compiled) is synthesized on the spot and counted as a
+     * miss.
      */
     ServedPulse serve(const ServingPlan& plan,
                       const std::vector<double>& theta);
@@ -486,18 +486,19 @@ class CompileService
      */
     RefinementReport refineQuantizedGrid(const ServingPlan& plan);
 
-    /** Snapshot of a plan's adaptive grids (zeros unless adaptive). */
+    /** Snapshot of a plan's quantized grids: the uniform grid on a
+     * plan that never refined, zeros when quantization is disabled. */
     AdaptiveGridStats quantizedGridStats(const ServingPlan& plan) const;
 
     /**
      * The full-circuit binding the plan's served pulses actually
-     * realize: each symbolic rotation snapped to its current grid
-     * representative when the per-gate budget admits it (adaptive
-     * leaves included), exact otherwise — what a driver must simulate
-     * so reported energies honestly carry the grid error. Mirrors
-     * serve()'s per-gate decisions; falls back to
-     * snapSymbolicRotations() for non-adaptive plans. Does not count
-     * grid visits (only serve() feeds refinement).
+     * realize: each symbolic rotation snapped to its axis's current
+     * grid leaf when the per-gate budget admits it, exact otherwise —
+     * what a driver must simulate so reported energies honestly carry
+     * the grid error. Mirrors serve()'s per-gate decisions; on a plan
+     * with quantization disabled it is the exact binding
+     * (symbolic.bind(theta)), as serve() serves exact pulses. Does not
+     * count grid visits (only serve() feeds refinement).
      */
     Circuit snapServedRotations(const ServingPlan& plan,
                                 const Circuit& symbolic,
@@ -518,7 +519,7 @@ class CompileService
      * Advance to a new calibration epoch: increments the monotonic
      * counter and (when `model_hash` is nonzero) adopts the new device
      * model hash. Every fingerprint minted afterwards — prepareServing
-     * bin tables, batch precompute, serve-path probes — carries the
+     * grid leaves, batch precompute, serve-path probes — carries the
      * new epoch, so no pre-bump pulse can ever be served through a
      * post-bump plan. Plans prepared before the bump keep serving
      * their captured epoch until their owner re-prepares them (the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -22,22 +23,6 @@
 #include "vqe/hamiltonian.h"
 #include "vqe/molecule.h"
 #include "vqe/uccsd.h"
-
-namespace qpc {
-
-/** Friend seam declared by ServingPlan: regression tests corrupt plan
- * internals to prove serve() fails loudly instead of reading out of
- * bounds. */
-struct ServingPlanTestPeer
-{
-    static void
-    setQuantizationBins(ServingPlan& plan, int bins)
-    {
-        plan.quant_.bins = bins;
-    }
-};
-
-} // namespace qpc
 
 namespace {
 
@@ -1154,32 +1139,125 @@ TEST(Service, ExactRotationServesCountInServiceStats)
 }
 
 // ---------------------------------------------------------------------
-// Bin-table consistency (regression)
+// The fixed grid against its reference form
 // ---------------------------------------------------------------------
 
-TEST(ServiceDeathTest, MismatchedBinTablePanics)
+TEST(Service, SnapServedRotationsIsExactWhenQuantizationDisabled)
 {
-    // Regression: serve() used to index the per-axis bin table with
-    // the bin computed from ParamQuantization::bins without checking
-    // the table's size — a plan whose quantization config disagrees
-    // with its tables read out of bounds instead of failing loudly.
+    // Regression: with quantization off, serve() synthesizes the exact
+    // binding, but snapServedRotations() used to snap it onto the
+    // default grid anyway, so a caller simulating the served binding
+    // got a circuit the served pulses do not realize.
     CompileServiceOptions options;
     options.numWorkers = 1;
     options.lookupDt = 0.5;
-    options.quantization.enabled = true;
-    options.quantization.bins = 64;
-    CompileService service(options);
+    CompileService service(options); // Quantization off by default.
 
     Circuit templ(1);
     templ.rz(0, ParamExpr::theta(0));
-    ServingPlan plan =
+    const ServingPlan plan =
         service.prepareServing(strictPartition(templ));
-    // Corrupt the plan: double the bin count its tables were built
-    // for. Serving must panic on the size mismatch, not read past
-    // the 64-entry table with a bin in [0, 128).
-    ServingPlanTestPeer::setQuantizationBins(plan, 128);
-    EXPECT_DEATH(service.serve(plan, {3.0}),
-                 "disagrees with ParamQuantization::bins");
+    const std::vector<double> theta = {0.1001};
+
+    const ServedPulse served = service.serve(plan, theta);
+    EXPECT_EQ(served.exactServes, 1u);
+    EXPECT_EQ(served.quantErrorBound, 0.0);
+
+    const Circuit simulated =
+        service.snapServedRotations(plan, templ, theta);
+    ASSERT_EQ(simulated.size(), 1);
+    EXPECT_EQ(simulated.ops().front().angle.bind({}), 0.1001);
+    EXPECT_EQ(fingerprintBlock(simulated),
+              fingerprintBlock(templ.bind(theta)));
+    // An unquantized plan has no grid.
+    EXPECT_EQ(service.quantizedGridStats(plan).axes, 0);
+}
+
+/** Random 1-3 qubit template mixing symbolic rotations (on every
+ * axis, with coefficients and offsets) into constant rotations and
+ * Clifford gates. */
+Circuit
+randomRotationTemplate(Rng& rng, int num_params)
+{
+    const int width = rng.randint(1, 3);
+    Circuit templ(width);
+    const int ops = rng.randint(2, 8);
+    for (int i = 0; i < ops; ++i) {
+        const int q = rng.randint(0, width - 1);
+        const ParamExpr angle =
+            ParamExpr::theta(rng.randint(0, num_params - 1),
+                             rng.uniform(-3.0, 3.0),
+                             rng.uniform(-4.0, 4.0));
+        switch (rng.randint(0, 5)) {
+          case 0: templ.rx(q, angle); break;
+          case 1: templ.ry(q, angle); break;
+          case 2: templ.rz(q, angle); break;
+          case 3: templ.rz(q, rng.angle()); break;
+          case 4: templ.h(q); break;
+          default:
+            if (width > 1)
+                templ.cx(q, (q + 1) % width);
+            else
+                templ.x(q);
+            break;
+        }
+    }
+    // At least one symbolic rotation per template.
+    templ.ry(rng.randint(0, width - 1), ParamExpr::theta(0));
+    return templ;
+}
+
+TEST(Service, FixedGridServeMatchesQuantizeBlock)
+{
+    // The fixed grid is the unrefined per-axis grid: a plan that never
+    // refines must snap, bound and fall back exactly as the reference
+    // quantizeBlock() does, binding for binding — including angles
+    // many turns out and budgets tight enough to send some rotations
+    // to the exact fallback.
+    constexpr int kParams = 3;
+    Rng rng(71);
+    for (int trial = 0; trial < 40; ++trial) {
+        ParamQuantization quantization;
+        quantization.enabled = true;
+        quantization.bins = trial % 2 ? 64 : 1024;
+        // Per-gate budgets from far below to just past the grid's
+        // worst-case snap of step/4.
+        quantization.fidelityBudget =
+            rng.uniform(0.0, 1.2) * quantization.stepRadians() / 4.0;
+
+        CompileServiceOptions options;
+        options.numWorkers = 1;
+        options.lookupDt = 0.5;
+        options.quantization = quantization;
+        CompileService service(options);
+
+        const Circuit templ = randomRotationTemplate(rng, kParams);
+        const ServingPlan plan =
+            service.prepareServing(strictPartition(templ));
+        for (int binding = 0; binding < 5; ++binding) {
+            std::vector<double> theta(kParams);
+            for (double& t : theta)
+                t = rng.uniform(-20.0, 20.0);
+            const QuantizedBlock reference =
+                quantizeBlock(templ, theta, quantization);
+            const ServedPulse served = service.serve(plan, theta);
+
+            EXPECT_EQ(fingerprintBlock(service.snapServedRotations(
+                          plan, templ, theta)),
+                      fingerprintBlock(reference.snapped));
+            EXPECT_EQ(served.quantErrorBound, reference.errorBound);
+            const auto exact_bins =
+                std::count(reference.bins.begin(),
+                           reference.bins.end(), std::int64_t{-1});
+            EXPECT_EQ(served.quantFallbacks,
+                      static_cast<std::uint64_t>(exact_bins));
+            EXPECT_EQ(served.quantHits + served.quantMisses,
+                      reference.bins.size() -
+                          static_cast<std::size_t>(exact_bins));
+        }
+        // Serving never refines a plan that is not adaptive.
+        EXPECT_EQ(service.quantizedGridStats(plan).splits, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1212,6 +1290,29 @@ TEST(ServiceDeathTest, RejectsRefineDepthPastTheGridCap)
         AdaptiveAngleGrid::kMaxDepth + 1;
     EXPECT_DEATH({ CompileService service(options); },
                  "refine depth");
+}
+
+TEST(ServiceDeathTest, RejectsBinCountPastTheGridKeySpace)
+{
+    // Fixed plans serve through the same per-axis grid as adaptive
+    // ones, so its key-space cap binds every enabled plan — checked at
+    // construction and per-plan override, before any grid is built.
+    ParamQuantization quantization;
+    quantization.enabled = true;
+    quantization.bins = AdaptiveAngleGrid::kMaxBaseBins;
+    CompileServiceOptions options;
+    options.quantization = quantization;
+    EXPECT_DEATH({ CompileService service(options); }, "key space");
+
+    Circuit templ(1);
+    templ.rz(0, ParamExpr::theta(0));
+    EXPECT_DEATH(
+        {
+            CompileService service;
+            service.prepareServing(strictPartition(templ),
+                                   quantization);
+        },
+        "key space");
 }
 
 TEST(Service, AdaptiveRefinementServesFinerRepresentatives)

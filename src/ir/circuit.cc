@@ -35,53 +35,37 @@ Circuit::Circuit(int num_qubits) : numQubits_(num_qubits)
             num_qubits);
 }
 
-void
-Circuit::validate(const GateOp& op) const
+bool
+Circuit::tryAdd(const GateOp& op)
 {
-    panicIf(op.q0 < 0 || op.q0 >= numQubits_, "op qubit ", op.q0,
-            " outside circuit of width ", numQubits_);
-    if (op.arity() == 2) {
-        panicIf(op.q1 < 0 || op.q1 >= numQubits_, "op qubit ", op.q1,
-                " outside circuit of width ", numQubits_);
-        panicIf(op.q0 == op.q1, "two-qubit op with identical qubits q",
-                op.q0);
-    }
-}
-
-void
-Circuit::add(GateOp op)
-{
-    if (op.arity() == 1)
-        op.q1 = -1;
-    validate(op);
+    const auto outside = [this](int q) {
+        return q < 0 || q >= numQubits_;
+    };
+    if (outside(op.q0) ||
+        (op.arity() == 2 && (outside(op.q1) || op.q0 == op.q1)) ||
+        op.angle.index < -1 || !op.angle.isFinite())
+        return false;
     ops_.push_back(op);
+    if (ops_.back().arity() == 1)
+        ops_.back().q1 = -1;
+    return true;
 }
 
 void
-Circuit::add1(GateKind kind, int q)
+Circuit::add(const GateOp& op)
 {
-    GateOp op;
-    op.kind = kind;
-    op.q0 = q;
-    add(op);
+    if (!tryAdd(op))
+        panic("invalid op ", op.str(), " for a circuit of width ",
+              numQubits_);
 }
 
 void
-Circuit::add2(GateKind kind, int a, int b)
+Circuit::addOp(GateKind kind, int q0, int q1, ParamExpr angle)
 {
     GateOp op;
     op.kind = kind;
-    op.q0 = a;
-    op.q1 = b;
-    add(op);
-}
-
-void
-Circuit::addRot(GateKind kind, int q, ParamExpr angle)
-{
-    GateOp op;
-    op.kind = kind;
-    op.q0 = q;
+    op.q0 = q0;
+    op.q1 = q1;
     op.angle = angle;
     add(op);
 }

@@ -31,9 +31,6 @@ struct GateOp
     /** Number of qubits the op acts on. */
     int arity() const { return gateArity(kind); }
 
-    /** True when the op acts on qubit q. */
-    bool touches(int q) const { return q0 == q || q1 == q; }
-
     /** The op's qubits, in declaration order. */
     std::vector<int> qubits() const;
 
@@ -67,29 +64,34 @@ class Circuit
     int size() const { return static_cast<int>(ops_.size()); }
     bool empty() const { return ops_.empty(); }
 
-    /** Append a validated op. */
-    void add(GateOp op);
+    /** The IR's one op-validity check: append the op if its qubits
+     * lie in [0, numQubits()) (and differ, for a two-qubit op), its
+     * angle index is >= -1 and its angle is finite; else false. */
+    bool tryAdd(const GateOp& op);
+
+    /** Append an op; panics unless tryAdd() accepts it. */
+    void add(const GateOp& op);
 
     /** @name Builder shorthands
      *  @{ */
-    void x(int q) { add1(GateKind::X, q); }
-    void y(int q) { add1(GateKind::Y, q); }
-    void z(int q) { add1(GateKind::Z, q); }
-    void h(int q) { add1(GateKind::H, q); }
-    void s(int q) { add1(GateKind::S, q); }
-    void sdg(int q) { add1(GateKind::Sdg, q); }
-    void t(int q) { add1(GateKind::T, q); }
-    void tdg(int q) { add1(GateKind::Tdg, q); }
-    void rx(int q, ParamExpr angle) { addRot(GateKind::Rx, q, angle); }
-    void ry(int q, ParamExpr angle) { addRot(GateKind::Ry, q, angle); }
-    void rz(int q, ParamExpr angle) { addRot(GateKind::Rz, q, angle); }
+    void x(int q) { addOp(GateKind::X, q); }
+    void y(int q) { addOp(GateKind::Y, q); }
+    void z(int q) { addOp(GateKind::Z, q); }
+    void h(int q) { addOp(GateKind::H, q); }
+    void s(int q) { addOp(GateKind::S, q); }
+    void sdg(int q) { addOp(GateKind::Sdg, q); }
+    void t(int q) { addOp(GateKind::T, q); }
+    void tdg(int q) { addOp(GateKind::Tdg, q); }
+    void rx(int q, ParamExpr angle) { addOp(GateKind::Rx, q, -1, angle); }
+    void ry(int q, ParamExpr angle) { addOp(GateKind::Ry, q, -1, angle); }
+    void rz(int q, ParamExpr angle) { addOp(GateKind::Rz, q, -1, angle); }
     void rx(int q, double angle) { rx(q, ParamExpr::constant(angle)); }
     void ry(int q, double angle) { ry(q, ParamExpr::constant(angle)); }
     void rz(int q, double angle) { rz(q, ParamExpr::constant(angle)); }
-    void cx(int control, int target) { add2(GateKind::CX, control, target); }
-    void cz(int a, int b) { add2(GateKind::CZ, a, b); }
-    void swap(int a, int b) { add2(GateKind::SWAP, a, b); }
-    void iswap(int a, int b) { add2(GateKind::ISwap, a, b); }
+    void cx(int control, int target) { addOp(GateKind::CX, control, target); }
+    void cz(int a, int b) { addOp(GateKind::CZ, a, b); }
+    void swap(int a, int b) { addOp(GateKind::SWAP, a, b); }
+    void iswap(int a, int b) { addOp(GateKind::ISwap, a, b); }
     /** @} */
 
     /** Number of distinct parameters: 1 + max referenced index. */
@@ -120,10 +122,7 @@ class Circuit
     std::string str() const;
 
   private:
-    void add1(GateKind kind, int q);
-    void add2(GateKind kind, int a, int b);
-    void addRot(GateKind kind, int q, ParamExpr angle);
-    void validate(const GateOp& op) const;
+    void addOp(GateKind kind, int q0, int q1 = -1, ParamExpr angle = {});
 
     int numQubits_ = 0;
     std::vector<GateOp> ops_;

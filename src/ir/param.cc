@@ -39,6 +39,17 @@ ParamExpr::bind(const std::vector<double>& values) const
     return coeff * values[index] + offset;
 }
 
+std::optional<double>
+ParamExpr::tryBind(const std::vector<double>& values) const
+{
+    if (index >= static_cast<int>(values.size()))
+        return std::nullopt;
+    const double value = index < 0 ? offset : coeff * values[index] + offset;
+    if (!std::isfinite(value))
+        return std::nullopt;
+    return value;
+}
+
 ParamExpr
 ParamExpr::plus(double delta) const
 {

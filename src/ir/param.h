@@ -14,6 +14,7 @@
 #ifndef QPC_IR_PARAM_H
 #define QPC_IR_PARAM_H
 
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,8 +41,18 @@ struct ParamExpr
     /** True when the expression references a parameter. */
     bool isSymbolic() const { return index >= 0; }
 
+    /** True when coeff and offset are both finite. */
+    bool isFinite() const
+    {
+        return std::isfinite(coeff) && std::isfinite(offset);
+    }
+
     /** Evaluate against a parameter vector (validated when symbolic). */
     double bind(const std::vector<double>& values) const;
+
+    /** bind() that refuses instead: nullopt when `values` is too
+     * short, or when the result is not finite (NaN, inf, overflow). */
+    std::optional<double> tryBind(const std::vector<double>& values) const;
 
     /** Expression with the offset shifted by delta. */
     ParamExpr plus(double delta) const;

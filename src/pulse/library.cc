@@ -41,7 +41,9 @@ PulseSchedule
 GatePulseLibrary::rz(int qubit, double theta) const
 {
     // Flux drive generates n = (I - Z)/2: exp(-i w t n) = Rz(-w t) up
-    // to global phase, so drive with sign -sign(theta).
+    // to global phase, so drive with sign -sign(theta). Whole turns
+    // are a global phase too: wrap them off to bound the duration.
+    theta = std::remainder(theta, 2.0 * kPi);
     const double w_max = device_.limits().fluxMax;
     const double total = std::abs(theta) / w_max;
     const int samples = std::max(1, static_cast<int>(
@@ -58,7 +60,8 @@ GatePulseLibrary::rz(int qubit, double theta) const
 PulseSchedule
 GatePulseLibrary::rx(int qubit, double theta) const
 {
-    // Charge drive generates X: exp(-i w t X) = Rx(2 w t).
+    // Charge drive generates X: exp(-i w t X) = Rx(2 w t). Wrapped.
+    theta = std::remainder(theta, 2.0 * kPi);
     const double w_max = device_.limits().chargeMax;
     const double total = std::abs(theta) / (2.0 * w_max);
     const int samples = std::max(1, static_cast<int>(

@@ -37,10 +37,11 @@ class GatePulseLibrary
 
     double dt() const { return dt_; }
 
-    /** Rz(theta) on one qubit via the flux drive. */
+    /** Rz(theta) on one qubit via the flux drive; pulses the same gate
+     * up to global phase, Rz(remainder(theta, 2 pi)). */
     PulseSchedule rz(int qubit, double theta) const;
 
-    /** Rx(theta) on one qubit via the charge drive. */
+    /** Rx(theta) on one qubit via the charge drive, wrapped like rz(). */
     PulseSchedule rx(int qubit, double theta) const;
 
     /** Hadamard as the Rz Rx Rz sequence. */

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/logging.h"
@@ -27,6 +29,17 @@ rotationAt(const Circuit& gate, double angle)
     op.angle = ParamExpr::constant(angle);
     snapped.add(op);
     return snapped;
+}
+
+/** The serve path's one binding check, on ParamExpr::tryBind. */
+double
+bindOrRefuse(const ParamExpr& angle, const std::vector<double>& theta)
+{
+    if (const std::optional<double> value = angle.tryBind(theta))
+        return *value;
+    throw std::invalid_argument(
+        "theta of size " + std::to_string(theta.size()) +
+        " has no finite binding of " + angle.str());
 }
 
 /** Analytic library pulse for one local block on a clique device. */
@@ -68,6 +81,18 @@ validateQuantization(const ParamQuantization& quantization)
                  quantization.visitDecay > 1.0),
             "adaptive visit decay must lie in [0, 1]");
 }
+
+/** Records the scope's wall time into a histogram on exit. */
+struct RecordOnExit
+{
+    LatencyHistogram& hist;
+    std::uint64_t start;
+    ~RecordOnExit()
+    {
+        const std::uint64_t end = traceNowNs();
+        hist.record(end > start ? end - start : 0);
+    }
+};
 
 /** Cache options with the service's starting epoch folded in, so the
  * disk tier adopts (and serves) only records of that calibration. */
@@ -459,18 +484,13 @@ CompileService::prewarmQuantizedBins(const ServingPlan& plan)
     if (!plan.quant_.enabled)
         return BatchCompileReport{};
 
-    // Enumerate each axis's current leaves once per segment: segments
-    // sharing a rotation axis (every QAOA mixer Rx, say) collapse in
-    // compileEntries' fingerprint dedupe, so the worker pool sees each
-    // served leaf exactly once. An unrefined plan warms its whole
-    // uniform grid; a refined one warms exactly the leaves serve()
-    // would hit, never the parents refinement released.
+    // Enumerate each axis's current leaves once, however many
+    // segments share it (every QAOA mixer Rx, say). An unrefined plan
+    // warms its whole uniform grid; a refined one warms exactly the
+    // leaves serve() would hit, never the parents refinement released.
     std::vector<ServingPlan::FixedEntry> entries;
-    for (const ServingPlan::PlanSegment& segment : plan.segments_) {
-        if (segment.fixed)
-            continue;
-        const ServingPlan::QuantizedAxis& axis =
-            plan.axisFor(segment.gate.ops().front().kind);
+    for (const auto& [kind, axis_ptr] : plan.axes_) {
+        const ServingPlan::QuantizedAxis& axis = *axis_ptr;
         // Snapshot under the lock, build circuits outside it: serve()
         // must never stall behind circuit construction.
         std::vector<ServingPlan::QuantizedAxis::LeafState> leaves;
@@ -532,17 +552,7 @@ CompileService::prepareServing(const StrictPartition& partition,
     const
 {
     TraceSpan span("prepare-serving");
-    const std::uint64_t t0 = traceNowNs();
-    struct RecordOnExit
-    {
-        LatencyHistogram& hist;
-        std::uint64_t start;
-        ~RecordOnExit()
-        {
-            const std::uint64_t end = traceNowNs();
-            hist.record(end > start ? end - start : 0);
-        }
-    } timer{prepareNs_, t0};
+    const RecordOnExit timer{prepareNs_, traceNowNs()};
 
     // Per-plan overrides (driver knobs) get the same validation the
     // constructor applies to the service-wide default, so an invalid
@@ -615,49 +625,54 @@ CompileService::prepareServing(const StrictPartition& partition,
     return plan;
 }
 
+template <typename MakeBlock>
+PulsePtr
+CompileService::serveLookup(const BlockFingerprint& fp,
+                            const MakeBlock& make_block, bool& started)
+{
+    // Warm path: probe the cache directly, no future machinery. One
+    // logical lookup, counted once: a miss goes to admitAfterMiss
+    // without a second CacheStats probe.
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    started = false;
+    PulsePtr pulse;
+    {
+        TraceSpan probe("cache-probe");
+        pulse = cache_.get(fp);
+    }
+    if (pulse) {
+        cacheHits_.fetch_add(1, std::memory_order_relaxed);
+        return pulse;
+    }
+    TraceSpan wait("synthesis-wait");
+    AdmitOutcome outcome = AdmitOutcome::CacheHit;
+    PulseFuture future =
+        admitAfterMiss(fp, make_block(), &outcome, /*force_block=*/true);
+    started = outcome == AdmitOutcome::Started;
+    return future.get();
+}
+
 ServedPulse
 CompileService::serve(const ServingPlan& plan,
                       const std::vector<double>& theta)
 {
-    const std::uint64_t serveT0 = traceNowNs();
-    struct RecordOnExit
-    {
-        LatencyHistogram& hist;
-        std::uint64_t start;
-        ~RecordOnExit()
-        {
-            const std::uint64_t end = traceNowNs();
-            hist.record(end > start ? end - start : 0);
-        }
-    } timer{serveNs_, serveT0};
+    // Refuse a bad binding before it touches stats, visits or cache.
+    for (const ServingPlan::PlanSegment& segment : plan.segments_)
+        if (!segment.fixed)
+            bindOrRefuse(segment.gate.ops().front().angle, theta);
+
+    const RecordOnExit timer{serveNs_, traceNowNs()};
 
     ServedPulse served;
+    bool started = false;
     for (const ServingPlan::PlanSegment& segment : plan.segments_) {
         if (segment.fixed) {
             for (const ServingPlan::FixedEntry& entry : segment.blocks) {
-                // Warm path: probe the cache directly — no promise /
-                // future machinery for a value that is already there.
-                // One logical lookup, counted once: the probe is the
-                // only CacheStats lookup (a miss hands the result to
-                // admitAfterMiss rather than re-probing), and the
-                // service-wide request/hit counters see every serve.
-                requests_.fetch_add(1, std::memory_order_relaxed);
-                PulsePtr pulse;
-                {
-                    TraceSpan probe("cache-probe");
-                    pulse = cache_.get(entry.fingerprint);
-                }
-                if (pulse) {
-                    cacheHits_.fetch_add(1, std::memory_order_relaxed);
-                    ++served.cacheHits;
-                } else {
-                    ++served.cacheMisses;
-                    TraceSpan wait("synthesis-wait");
-                    pulse = admitAfterMiss(entry.fingerprint,
-                                           entry.local, nullptr,
-                                           /*force_block=*/true)
-                                .get();
-                }
+                PulsePtr pulse = serveLookup(
+                    entry.fingerprint,
+                    [&]() -> const Circuit& { return entry.local; },
+                    started);
+                ++(started ? served.cacheMisses : served.cacheHits);
                 served.pulseNs += pulse->durationNs();
                 served.segments.push_back(std::move(pulse));
             }
@@ -698,33 +713,18 @@ CompileService::serve(const ServingPlan& plan,
                         angle, representative));
                 if (bound <= plan.quant_.fidelityBudget) {
                     served.quantErrorBound += bound;
-                    // Same single-probe discipline as the Fixed path:
-                    // the bin lookup is one logical request, counted
-                    // once in CacheStats and in the service counters.
-                    requests_.fetch_add(1, std::memory_order_relaxed);
-                    PulsePtr pulse;
-                    {
-                        TraceSpan probe("cache-probe");
-                        pulse = cache_.get(fp);
-                    }
-                    if (pulse) {
-                        cacheHits_.fetch_add(1,
-                                             std::memory_order_relaxed);
-                        ++served.quantHits;
-                        quantHits_.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    } else {
-                        ++served.quantMisses;
-                        quantMisses_.fetch_add(
-                            1, std::memory_order_relaxed);
-                        TraceSpan wait("synthesis-wait");
-                        pulse = admitAfterMiss(
-                                    fp,
-                                    rotationAt(segment.gate,
-                                               representative),
-                                    nullptr, /*force_block=*/true)
-                                    .get();
-                    }
+                    PulsePtr pulse = serveLookup(
+                        fp,
+                        [&] {
+                            return rotationAt(segment.gate,
+                                              representative);
+                        },
+                        started);
+                    // Joining a flight or a fresh cache entry is a
+                    // hit: concurrent cold serves count one miss.
+                    ++(started ? served.quantMisses : served.quantHits);
+                    (started ? quantMisses_ : quantHits_)
+                        .fetch_add(1, std::memory_order_relaxed);
                     served.pulseNs += pulse->durationNs();
                     served.segments.push_back(std::move(pulse));
                     continue;
@@ -943,15 +943,13 @@ CompileService::snapServedRotations(const ServingPlan& plan,
                                     const std::vector<double>& theta)
     const
 {
-    if (!plan.quant_.enabled)
-        return symbolic.bind(theta);
     Circuit bound(symbolic.numQubits());
     for (const GateOp& op : symbolic.ops()) {
         GateOp next = op;
         if (gateIsRotation(op.kind)) {
-            const double angle = op.angle.bind(theta);
+            const double angle = bindOrRefuse(op.angle, theta);
             double value = angle;
-            if (op.angle.isSymbolic()) {
+            if (plan.quant_.enabled && op.angle.isSymbolic()) {
                 ServingPlan::QuantizedAxis& axis =
                     plan.axisFor(op.kind);
                 double representative;

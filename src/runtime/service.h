@@ -164,7 +164,7 @@ struct ServiceStats
     /** @name Quantized parametric serving (zero when disabled)
      *  @{ */
     std::uint64_t quantHits = 0;      ///< Rotation bins served warm.
-    std::uint64_t quantMisses = 0;    ///< First touches of a bin.
+    std::uint64_t quantMisses = 0;    ///< Leaf syntheses serve() started.
     std::uint64_t quantFallbacks = 0; ///< Budget-exceeded exact serves.
     /** @} */
 
@@ -446,15 +446,15 @@ class CompileService
 
     /**
      * Grid pre-warm: synthesize every current leaf of every rotation
-     * axis the plan serves (deduplicated across segments sharing an
-     * axis) through the worker pool, so the hybrid loop's very first
-     * iterations already hit the quantized cache. On an unrefined plan
-     * that is the whole uniform grid (totalBlocks = rotation segments
-     * x bins); on a refined one it is exactly the leaves serve() would
-     * hit, never the parents refinement released. A no-op report when
-     * the plan's quantization is disabled. Sizing note: the cache must
-     * hold leaves x distinct-axes entries on top of the Fixed blocks
-     * to keep the warmed grid resident.
+     * axis the plan serves (each axis once) through the worker pool,
+     * so the hybrid loop's very first iterations already hit the
+     * quantized cache. On an unrefined plan that is the whole uniform
+     * grid (totalBlocks = distinct axes x bins); on a refined one it
+     * is exactly the leaves serve() would hit, never the parents
+     * refinement released. A no-op report when the plan's
+     * quantization is disabled. Sizing note: the cache must hold
+     * totalBlocks entries on top of the Fixed blocks to keep the
+     * warmed grid resident.
      */
     BatchCompileReport prewarmQuantizedBins(const ServingPlan& plan);
 
@@ -465,7 +465,9 @@ class CompileService
      * is enabled and the per-gate budget admits the snap, an exact
      * analytic lookup otherwise. A cold block or leaf (evicted or
      * never pre-compiled) is synthesized on the spot and counted as a
-     * miss.
+     * miss by the one serve that started the synthesis. Throws
+     * std::invalid_argument, with no side effect at all, when a
+     * rotation has no finite binding (ParamExpr::tryBind).
      */
     ServedPulse serve(const ServingPlan& plan,
                       const std::vector<double>& theta);
@@ -498,7 +500,8 @@ class CompileService
      * the grid error. Mirrors serve()'s per-gate decisions; on a plan
      * with quantization disabled it is the exact binding
      * (symbolic.bind(theta)), as serve() serves exact pulses. Does not
-     * count grid visits (only serve() feeds refinement).
+     * count grid visits (only serve() feeds refinement). Throws
+     * std::invalid_argument for the bindings serve() refuses.
      */
     Circuit snapServedRotations(const ServingPlan& plan,
                                 const Circuit& symbolic,
@@ -579,6 +582,13 @@ class CompileService
     PulseFuture admitAfterMiss(const BlockFingerprint& fp,
                                const Circuit& block,
                                AdmitOutcome* outcome, bool force_block);
+
+    /** serve()'s one cache lookup: count, probe once, and on a miss
+     * admit make_block() and wait; `started` = this call started the
+     * synthesis. */
+    template <typename MakeBlock>
+    PulsePtr serveLookup(const BlockFingerprint& fp,
+                         const MakeBlock& make_block, bool& started);
 
     /**
      * Block one Fixed segment, relabel to local qubits, fingerprint,

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <netinet/in.h>
@@ -22,7 +21,6 @@ constexpr char kCircuitMagic[4] = {'Q', 'C', 'I', 'R'};
  * could stress server memory. */
 constexpr std::uint32_t kMaxWireQubits = 1024;
 constexpr std::uint32_t kMaxWireOps = 1u << 20;
-constexpr std::int32_t kMaxWireParamIndex = 1 << 20;
 
 /** Retry-on-EINTR full read; false on EOF/error before n bytes. */
 bool
@@ -453,25 +451,12 @@ decodeCircuit(WireReader& r)
         op.angle.index = r.i32();
         op.angle.coeff = r.f64();
         op.angle.offset = r.f64();
-        if (!r.ok())
-            return std::nullopt;
-        // Validate everything Circuit::add would panic on (plus wire
-        // sanity): hostile bytes must degrade to a decode error.
-        if (kind > static_cast<std::uint8_t>(GateKind::ISwap))
+        if (!r.ok() || kind > static_cast<std::uint8_t>(GateKind::ISwap) ||
+            op.angle.index >= static_cast<std::int32_t>(kMaxWireParams))
             return std::nullopt;
         op.kind = static_cast<GateKind>(kind);
-        const int width = static_cast<int>(qubits);
-        if (op.q0 < 0 || op.q0 >= width)
+        if (!circuit.tryAdd(op))
             return std::nullopt;
-        if (op.arity() == 2 &&
-            (op.q1 < 0 || op.q1 >= width || op.q1 == op.q0))
-            return std::nullopt;
-        if (op.angle.index < -1 || op.angle.index > kMaxWireParamIndex)
-            return std::nullopt;
-        if (!std::isfinite(op.angle.coeff) ||
-            !std::isfinite(op.angle.offset))
-            return std::nullopt;
-        circuit.add(op);
     }
     return circuit;
 }

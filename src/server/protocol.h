@@ -94,6 +94,11 @@ inline constexpr std::uint32_t kCircuitFormatVersion = 1;
  */
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
+/** The one limit on parameters over the wire: record indices lie below
+ * it and a Serve's theta holds at most this many values, so every plan
+ * PrepareServing accepts can be bound. */
+inline constexpr std::uint32_t kMaxWireParams = 1u << 16;
+
 /** Every message type on the wire. Requests < 64, replies >= 64. */
 enum class MsgType : std::uint8_t {
     Hello = 1,
@@ -141,6 +146,8 @@ class WireWriter
     void str(const std::string& s);
     /** u32 length + raw bytes. */
     void blob(const std::vector<std::uint8_t>& b);
+    /** Pre-size the body, so a large reply is one allocation. */
+    void reserve(std::size_t n) { bytes_.reserve(n); }
     /** Raw bytes, no length prefix (self-delimiting sub-records). */
     void raw(const std::uint8_t* data, std::size_t size);
 
@@ -257,9 +264,8 @@ void encodeCircuit(WireWriter& w, const Circuit& circuit);
 
 /**
  * Decode an in-stream circuit record. nullopt on bad magic, version,
- * counts, gate kinds, qubit indices, or non-finite coefficients —
- * validated here so a hostile record can never reach Circuit::add's
- * panics.
+ * counts, gate kinds, a parameter index past kMaxWireParams, or an op
+ * Circuit::tryAdd refuses: hostile bytes never reach a panic.
  */
 std::optional<Circuit> decodeCircuit(WireReader& r);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -26,8 +25,6 @@ namespace {
 
 /** Longest tenant name a Hello may carry. */
 constexpr std::size_t kMaxTenantName = 256;
-/** Largest theta vector a Serve may carry. */
-constexpr std::uint32_t kMaxThetaLen = 1u << 16;
 /** How often the accept loop re-checks the stop flag. */
 constexpr int kAcceptPollMs = 100;
 /** First accept-failure backoff; doubles per consecutive failure. */
@@ -527,6 +524,11 @@ CompileServer::handleRequest(Session& session,
         return sendError(session.fd, WireError::BadRequest, what);
     };
 
+    if (!tenant && (type == MsgType::PrepareServing ||
+                    type == MsgType::Prewarm || type == MsgType::Serve))
+        return sendError(session.fd, WireError::BadRequest,
+                         "Hello required before plan requests");
+
     switch (type) {
     case MsgType::Hello: {
         const std::string name = r.str();
@@ -545,9 +547,6 @@ CompileServer::handleRequest(Session& session,
     }
 
     case MsgType::PrepareServing: {
-        if (!tenant)
-            return sendError(session.fd, WireError::BadRequest,
-                             "Hello required before PrepareServing");
         std::optional<Circuit> circuit = decodeCircuit(r);
         if (!circuit || !r.done())
             return badBody("malformed PrepareServing circuit");
@@ -564,7 +563,6 @@ CompileServer::handleRequest(Session& session,
         // the expensive half, and other sessions of the tenant must
         // keep serving while it runs.
         Tenant::PlanEntry entry;
-        entry.numParams = circuit->numParams();
         entry.circuit = std::make_shared<const Circuit>(*circuit);
         try {
             const StrictPartition partition = strictPartition(*circuit);
@@ -595,19 +593,11 @@ CompileServer::handleRequest(Session& session,
     }
 
     case MsgType::Prewarm: {
-        if (!tenant)
-            return sendError(session.fd, WireError::BadRequest,
-                             "Hello required before Prewarm");
         const std::uint64_t plan_id = r.u64();
         if (!r.done())
             return badBody("malformed Prewarm");
-        std::shared_ptr<const ServingPlan> plan;
-        {
-            std::lock_guard<std::mutex> lock(tenant->mu);
-            auto it = tenant->plans.find(plan_id);
-            if (it != tenant->plans.end())
-                plan = it->second.plan;
-        }
+        const std::shared_ptr<const ServingPlan> plan =
+            tenant->findPlan(plan_id).plan;
         if (!plan)
             return sendError(session.fd, WireError::NotFound,
                              "unknown plan id");
@@ -649,37 +639,20 @@ CompileServer::handleRequest(Session& session,
     }
 
     case MsgType::Serve: {
-        if (!tenant)
-            return sendError(session.fd, WireError::BadRequest,
-                             "Hello required before Serve");
         const std::uint64_t plan_id = r.u64();
         const bool want_pulses = r.u8() != 0;
         const std::uint32_t n = r.u32();
-        if (!r.ok() || n > kMaxThetaLen)
+        if (!r.ok() || n > kMaxWireParams)
             return badBody("malformed Serve");
         std::vector<double> theta(n);
         for (std::uint32_t i = 0; i < n; ++i)
             theta[i] = r.f64();
         if (!r.done())
             return badBody("malformed Serve");
-        for (double t : theta)
-            if (!std::isfinite(t))
-                return badBody("non-finite theta");
-        Tenant::PlanEntry entry;
-        {
-            std::lock_guard<std::mutex> lock(tenant->mu);
-            auto it = tenant->plans.find(plan_id);
-            if (it != tenant->plans.end())
-                entry = it->second;
-        }
+        const Tenant::PlanEntry entry = tenant->findPlan(plan_id);
         if (!entry.plan)
             return sendError(session.fd, WireError::NotFound,
                              "unknown plan id");
-        // Validated here because ParamExpr::bind treats a short theta
-        // as a fatal() — a user error must error this request, not
-        // take the daemon down.
-        if (static_cast<int>(theta.size()) < entry.numParams)
-            return badBody("theta shorter than the plan's parameters");
         if (options_.quota.maxServedBytes > 0 &&
             tenant->servedBytes.load(std::memory_order_relaxed) >=
                 options_.quota.maxServedBytes) {
@@ -709,6 +682,10 @@ CompileServer::handleRequest(Session& session,
             gate_.beginServe();
             try {
                 served = service_.serve(*entry.plan, theta);
+            } catch (const std::invalid_argument& e) {
+                // A refused binding: a bad request with no side effect.
+                gate_.endServe();
+                return badBody(e.what());
             } catch (const std::exception& e) {
                 gate_.endServe();
                 return sendError(session.fd, WireError::Internal,
@@ -741,6 +718,10 @@ CompileServer::handleRequest(Session& session,
         tenant->servedBytes.fetch_add(bytes,
                                       std::memory_order_relaxed);
         WireWriter w = beginMessage(MsgType::ServeOk);
+        // One exact-size buffer (fixed fields < 128 bytes): a multi-MB
+        // reply grown by doubling is as fast as malloc's history allows.
+        if (want_pulses)
+            w.reserve(128 + bytes + 4 * served.segments.size());
         w.f64(served.pulseNs);
         w.u64(served.cacheHits);
         w.u64(served.cacheMisses);
@@ -766,11 +747,8 @@ CompileServer::handleRequest(Session& session,
     }
 
     case MsgType::Metrics: {
-        if (!r.done()) {
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-            return sendError(session.fd, WireError::BadRequest,
-                             "malformed Metrics body");
-        }
+        if (!r.done())
+            return badBody("malformed Metrics body");
         WireWriter w = beginMessage(MsgType::MetricsOk);
         encodeMetrics(w, metricsSnapshot());
         return sendFrame(session.fd, w.bytes());
@@ -920,7 +898,6 @@ CompileServer::restoreServing(const ServingSnapshot& snapshot)
     for (const SnapshotPlan& snap_plan : snapshot.plans) {
         std::shared_ptr<Tenant> tenant = internTenant(snap_plan.tenant);
         Tenant::PlanEntry entry;
-        entry.numParams = snap_plan.circuit.numParams();
         entry.circuit =
             std::make_shared<const Circuit>(snap_plan.circuit);
         try {

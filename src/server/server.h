@@ -255,7 +255,6 @@ class CompileServer
         struct PlanEntry
         {
             std::shared_ptr<const ServingPlan> plan;
-            int numParams = 0; ///< Theta length serve() must receive.
             /** The template the plan was prepared from, kept so an
              * epoch bump (and snapshotServing) can re-prepare the
              * plan under the new epoch without a client round-trip.
@@ -263,6 +262,15 @@ class CompileServer
             std::shared_ptr<const Circuit> circuit;
         };
         std::map<std::uint64_t, PlanEntry> plans;
+
+        /** A copy of one plan's entry; empty when there is none. */
+        PlanEntry
+        findPlan(std::uint64_t plan_id)
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            const auto it = plans.find(plan_id);
+            return it == plans.end() ? PlanEntry{} : it->second;
+        }
 
         std::atomic<std::uint64_t> serves{0};
         std::atomic<std::uint64_t> prewarms{0};

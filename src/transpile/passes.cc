@@ -64,7 +64,9 @@ mergeRotations(Circuit& circuit, bool commute_through_two_qubit)
             const int q = op.q0;
             const int j = pending[q];
             if (j >= 0 && ops[j].kind == op.kind) {
-                if (auto sum = tryAdd(ops[j].angle, op.angle)) {
+                // An overflowing sum stays two (finite) rotations.
+                auto sum = tryAdd(ops[j].angle, op.angle);
+                if (sum && sum->isFinite()) {
                     ops[j].angle = *sum;
                     erased[i] = true;
                     ++merges;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ir/circuit.h"
 #include "testutil.h"
@@ -66,6 +67,72 @@ TEST(ParamExpr, ScaleAndNegate)
     EXPECT_NEAR(n.offset, -1.0, 1e-12);
     EXPECT_TRUE(ParamExpr::constant(0.0).isZero());
     EXPECT_FALSE(e.isZero());
+}
+
+TEST(ParamExpr, TryBindRefusesShortAndNonFiniteBindings)
+{
+    const ParamExpr e = ParamExpr::theta(1, 2.0, 0.5);
+    ASSERT_TRUE(e.tryBind({0.0, 1.0}).has_value());
+    EXPECT_EQ(*e.tryBind({0.0, 1.0}), 2.5);
+    EXPECT_FALSE(e.tryBind({0.0}).has_value());
+    EXPECT_FALSE(e.tryBind({}).has_value());
+    EXPECT_FALSE(e.tryBind({0.0, std::nan("")}).has_value());
+    EXPECT_FALSE(
+        e.tryBind({0.0, std::numeric_limits<double>::infinity()})
+            .has_value());
+    // Every input finite, the product is not.
+    const ParamExpr huge = ParamExpr::theta(0, 1e308);
+    EXPECT_FALSE(huge.tryBind({10.0}).has_value());
+    EXPECT_TRUE(huge.tryBind({1.0}).has_value());
+    // A constant ignores theta entirely.
+    EXPECT_EQ(*ParamExpr::constant(0.25).tryBind({}), 0.25);
+}
+
+TEST(Circuit, TryAddRefusesEveryInvalidOpClass)
+{
+    Circuit c(2);
+    const auto op = [](GateKind kind, int q0, int q1 = -1) {
+        GateOp out;
+        out.kind = kind;
+        out.q0 = q0;
+        out.q1 = q1;
+        return out;
+    };
+    // Qubit out of range, on either operand.
+    EXPECT_FALSE(c.tryAdd(op(GateKind::H, 2)));
+    EXPECT_FALSE(c.tryAdd(op(GateKind::H, -1)));
+    EXPECT_FALSE(c.tryAdd(op(GateKind::CX, 0, 2)));
+    EXPECT_FALSE(c.tryAdd(op(GateKind::CX, -3, 1)));
+    // Two-qubit op on one qubit.
+    EXPECT_FALSE(c.tryAdd(op(GateKind::CZ, 1, 1)));
+    // Angle index below -1.
+    GateOp bad_index = op(GateKind::Rz, 0);
+    bad_index.angle.index = -2;
+    EXPECT_FALSE(c.tryAdd(bad_index));
+    // Non-finite coeff or offset.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {std::nan(""), inf, -inf}) {
+        GateOp bad_coeff = op(GateKind::Rx, 0);
+        bad_coeff.angle = ParamExpr::theta(0, bad);
+        EXPECT_FALSE(c.tryAdd(bad_coeff));
+        GateOp bad_offset = op(GateKind::Rx, 0);
+        bad_offset.angle = ParamExpr::constant(bad);
+        EXPECT_FALSE(c.tryAdd(bad_offset));
+    }
+    EXPECT_TRUE(c.empty());
+
+    // Valid ops are appended; a one-qubit op's q1 is normalized.
+    EXPECT_TRUE(c.tryAdd(op(GateKind::H, 1, 7)));
+    EXPECT_TRUE(c.tryAdd(op(GateKind::CX, 1, 0)));
+    ASSERT_EQ(c.size(), 2);
+    EXPECT_EQ(c.ops()[0].q1, -1);
+}
+
+TEST(CircuitDeathTest, AddPanicsOnAnOpTryAddRefuses)
+{
+    Circuit c(1);
+    EXPECT_DEATH(c.rz(0, std::nan("")), "invalid op");
+    EXPECT_DEATH(c.h(1), "invalid op");
 }
 
 TEST(Circuit, BuildersRecordOps)

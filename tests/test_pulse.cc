@@ -151,6 +151,34 @@ TEST(Library, RxPulsesAllAngles)
     }
 }
 
+TEST(Library, RotationPulsesWrapWholeTurns)
+{
+    // Rz/Rx(theta + 2 pi k) is Rz/Rx(theta) up to global phase, so the
+    // pulse is that of theta: same fidelity, same (short) duration, no
+    // matter how many turns the binding carries.
+    const DeviceModel dev = DeviceModel::gmonLine(1);
+    const GatePulseLibrary lib(dev, 0.01);
+    for (double theta : {0.5, -2.9}) {
+        const int rz_samples = lib.rz(0, theta).numSamples();
+        const int rx_samples = lib.rx(0, theta).numSamples();
+        for (double k : {1.0, -3.0, 1e4, 1e6}) {
+            const double turned = theta + 2.0 * kPi * k;
+            const PulseSchedule rz = lib.rz(0, turned);
+            const PulseSchedule rx = lib.rx(0, turned);
+            EXPECT_EQ(rz.numSamples(), rz_samples) << turned;
+            EXPECT_EQ(rx.numSamples(), rx_samples) << turned;
+            EXPECT_GT(traceFidelity(rzMatrix(turned),
+                                    evolveUnitary(dev, rz)),
+                      0.9999)
+                << turned;
+            EXPECT_GT(traceFidelity(rxMatrix(turned),
+                                    evolveUnitary(dev, rx)),
+                      0.9999)
+                << turned;
+        }
+    }
+}
+
 TEST(Library, PulsesRespectAmplitudeBounds)
 {
     const DeviceModel dev = DeviceModel::gmonLine(2);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -867,8 +869,8 @@ TEST(Service, PrewarmQuantizedBinsMakesFirstServeWarm)
     options.quantization.bins = 64;
     CompileService service(options);
 
-    // Two axes (Rz and Rx) across three rotations: the grid dedupes
-    // per (axis, bin), minus the shared identity bin at angle 0.
+    // Two axes (Rz and Rx) across three rotations: each axis is
+    // enumerated once, and the grids share the identity bin at 0.
     Circuit templ(2);
     templ.h(0);
     templ.cx(0, 1);
@@ -883,7 +885,7 @@ TEST(Service, PrewarmQuantizedBinsMakesFirstServeWarm)
 
     const BatchCompileReport grid =
         service.prewarmQuantizedBins(plan);
-    EXPECT_EQ(grid.totalBlocks, 3 * 64);
+    EXPECT_EQ(grid.totalBlocks, 2 * 64);
     // Rz and Rx grids share the identity at bin 0 (same unitary).
     EXPECT_EQ(grid.uniqueBlocks, 2 * 64 - 1);
     EXPECT_EQ(synth.runs.load(), fixed_runs + 2 * 64 - 1);
@@ -944,10 +946,10 @@ TEST(Service, PartialCompilerParametricPrewarm)
     compiler.precompute(service);
     const int fixed_runs = synth.runs.load();
 
-    // Both rz segments share one axis: 2 x 32 grid entries, 32 unique.
+    // Both rz segments share one axis, enumerated once: 32 leaves.
     const BatchCompileReport grid =
         compiler.prewarmParametric(service);
-    EXPECT_EQ(grid.totalBlocks, 2 * 32);
+    EXPECT_EQ(grid.totalBlocks, 32);
     EXPECT_EQ(grid.uniqueBlocks, 32);
     EXPECT_EQ(synth.runs.load(), fixed_runs + 32);
 
@@ -1136,6 +1138,125 @@ TEST(Service, ExactRotationServesCountInServiceStats)
     EXPECT_EQ(final_stats.requests,
               final_stats.cacheHits + final_stats.coalesced +
                   final_stats.synthRuns + final_stats.exactServes);
+}
+
+/** Every counter a refused binding must leave untouched. */
+std::vector<std::uint64_t>
+serveFootprint(const CompileService& service)
+{
+    const ServiceStats s = service.stats();
+    const CacheStats c = service.cacheStats();
+    return {s.requests,      s.cacheHits,     s.coalesced,
+            s.synthRuns,     s.rejected,      s.exactServes,
+            s.quantHits,     s.quantMisses,   s.quantFallbacks,
+            c.lookups,       c.hits,          c.diskHits,
+            c.misses,        c.insertions,    c.entries,
+            service.telemetry().serveNs.count};
+}
+
+TEST(Service, RefusedBindingThrowsWithoutSideEffects)
+{
+    // The second rotation is coeff 1e308 * theta_1: every input below
+    // is finite or short, yet none binds to a finite angle. serve()
+    // must refuse each one up front — in particular before the first
+    // (valid) rotation probes the cache or bumps its grid visits.
+    Circuit templ(2);
+    templ.h(0);
+    templ.cx(0, 1);
+    templ.rz(1, ParamExpr::theta(0));
+    templ.h(0);
+    templ.cx(0, 1);
+    templ.rx(1, ParamExpr::theta(1, 1e308));
+    const std::vector<std::vector<double>> refused = {
+        {0.1, std::nan("")},
+        {0.1, 10.0},
+        {std::nan(""), 1e-300},
+        {0.1},
+        {},
+    };
+
+    ParamQuantization exact;
+    ParamQuantization fixed_grid;
+    fixed_grid.enabled = true;
+    fixed_grid.bins = 64;
+    ParamQuantization adaptive = fixed_grid;
+    adaptive.adaptive = true;
+    adaptive.splitVisitThreshold = 2;
+    for (const ParamQuantization& quantization :
+         {exact, fixed_grid, adaptive}) {
+        CompileServiceOptions options;
+        options.numWorkers = 2;
+        options.lookupDt = 0.5;
+        CompileService service(options);
+        const ServingPlan plan = service.prepareServing(
+            strictPartition(templ), quantization);
+        // One valid serve: every touched leaf now has one visit.
+        service.serve(plan, {0.1, 1e-300});
+        const std::vector<std::uint64_t> before = serveFootprint(service);
+        for (const std::vector<double>& theta : refused) {
+            EXPECT_THROW(service.serve(plan, theta), std::invalid_argument)
+                << theta.size();
+            EXPECT_THROW(service.snapServedRotations(plan, templ, theta),
+                         std::invalid_argument)
+                << theta.size();
+        }
+        EXPECT_EQ(serveFootprint(service), before);
+        // No refused serve bumped a visit: with a split threshold of
+        // 2, one more visit anywhere would split that leaf now.
+        EXPECT_EQ(service.refineQuantizedGrid(plan).leavesSplit, 0);
+        EXPECT_EQ(service.quantizedGridStats(plan).splits, 0u);
+        // And the plan still serves.
+        EXPECT_EQ(service.serve(plan, {0.2, 0.0}).segments.size(), 4u);
+    }
+}
+
+TEST(Service, ConcurrentServesOfAColdLeafCountOneMiss)
+{
+    // K threads serve the same cold grid leaf. The synthesis is held
+    // until the other K-1 have joined it, so every thread's probe
+    // misses and exactly one admission starts the synthesis: that one
+    // serve counts the miss, the K-1 that coalesced count hits.
+    constexpr int kThreads = 4;
+    std::atomic<CompileService*> service_ptr{nullptr};
+    CompileServiceOptions options;
+    options.numWorkers = 2;
+    options.quantization.enabled = true;
+    options.quantization.bins = 64;
+    const BlockSynthesizer analytic = analyticBlockSynthesizer(0.5);
+    options.synthesizer = [&](const Circuit& block) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (service_ptr.load()->stats().coalesced < kThreads - 1 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return analytic(block);
+    };
+    CompileService service(options);
+    service_ptr.store(&service);
+
+    Circuit templ(1);
+    templ.rz(0, ParamExpr::theta(0));
+    const ServingPlan plan = service.prepareServing(strictPartition(templ));
+
+    std::atomic<std::uint64_t> hits{0}, misses{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&] {
+            const ServedPulse served = service.serve(plan, {0.3});
+            hits.fetch_add(served.quantHits);
+            misses.fetch_add(served.quantMisses);
+        });
+    for (std::thread& t : threads)
+        t.join();
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kThreads - 1));
+    EXPECT_EQ(stats.quantMisses, 1u);
+    EXPECT_EQ(stats.synthRuns, 1u);
+    EXPECT_EQ(stats.quantHits + stats.quantMisses + stats.quantFallbacks,
+              static_cast<std::uint64_t>(kThreads));
+    EXPECT_EQ(misses.load(), 1u);
+    EXPECT_EQ(hits.load(), static_cast<std::uint64_t>(kThreads - 1));
 }
 
 // ---------------------------------------------------------------------

@@ -67,13 +67,15 @@ paramTemplate()
 class ServerHarness
 {
   public:
-    explicit ServerHarness(TenantQuota quota = {}, int workers = 2)
+    explicit ServerHarness(TenantQuota quota = {}, int workers = 2,
+                           ParamQuantization quantization = {})
         : dir_("qpc_server")
     {
         CompileServerOptions options;
         options.socketPath = dir_.path() + "/qpc.sock";
         options.service.numWorkers = workers;
         options.service.maxQueuedJobs = 16;
+        options.service.quantization = quantization;
         options.quota = quota;
         server_ = std::make_unique<CompileServer>(std::move(options));
         server_->start();
@@ -242,6 +244,21 @@ TEST(Wire, CircuitDecodeRejectsHostileRecords)
                 static_cast<std::uint8_t>(1u << rng.randint(0, 7));
         (void)decodeCircuit(bad);
     }
+}
+
+TEST(Wire, ParamIndexCapIsTheThetaLengthCap)
+{
+    // The highest index a record may carry is the last one a maximal
+    // Serve theta can bind.
+    Circuit last(1);
+    last.rz(0, ParamExpr::theta(kMaxWireParams - 1));
+    const std::optional<Circuit> back = decodeCircuit(encodeCircuit(last));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->numParams(), static_cast<int>(kMaxWireParams));
+
+    Circuit past(1);
+    past.rz(0, ParamExpr::theta(kMaxWireParams));
+    EXPECT_FALSE(decodeCircuit(encodeCircuit(past)).has_value());
 }
 
 TEST(Wire, StatsRoundTrip)
@@ -659,6 +676,56 @@ TEST(Server, RequestErrorsAreSurfacedNotFatal)
     // The session is still healthy after every refusal.
     EXPECT_TRUE(
         client.serve(prepared->planId, {0.1, 0.2}).has_value());
+}
+
+TEST(Server, OverflowingBindingIsRefusedNotFatal)
+{
+    // Every value the client sends is finite, but coeff * theta is
+    // not. On a quantized server that angle used to reach the grid's
+    // fatal() and take the daemon down.
+    ParamQuantization quantization;
+    quantization.enabled = true;
+    quantization.bins = 32;
+    ServerHarness harness({}, 2, quantization);
+    CompileClient client;
+    ASSERT_TRUE(client.connectUnix(harness.socket()));
+    ASSERT_TRUE(client.hello("alice").has_value());
+    Circuit templ(1);
+    templ.rz(0, ParamExpr::theta(0, 1e308));
+    const auto prepared = client.prepareServing(templ);
+    ASSERT_TRUE(prepared.has_value());
+
+    const std::uint64_t errors_before =
+        harness.server().statsSnapshot().protocolErrors;
+    EXPECT_FALSE(client.serve(prepared->planId, {10.0}).has_value());
+    EXPECT_EQ(client.lastErrorCode(), WireError::BadRequest);
+    EXPECT_EQ(harness.server().statsSnapshot().protocolErrors,
+              errors_before + 1);
+    EXPECT_TRUE(harness.alive());
+
+    // 1e308 * 1e-308 = 1 radian: a valid binding of the same plan.
+    const auto served = client.serve(prepared->planId, {1e-308});
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->numSegments, 1u);
+}
+
+TEST(Server, ThetaLengthCapBindsTheLargestAcceptedPlan)
+{
+    ServerHarness harness;
+    CompileClient client;
+    ASSERT_TRUE(client.connectUnix(harness.socket()));
+    ASSERT_TRUE(client.hello("alice").has_value());
+    Circuit templ(1);
+    templ.rz(0, ParamExpr::theta(kMaxWireParams - 1));
+    const auto prepared = client.prepareServing(templ);
+    ASSERT_TRUE(prepared.has_value());
+
+    std::vector<double> theta(kMaxWireParams, 0.25);
+    EXPECT_TRUE(client.serve(prepared->planId, theta).has_value());
+    theta.push_back(0.25);
+    EXPECT_FALSE(client.serve(prepared->planId, theta).has_value());
+    EXPECT_EQ(client.lastErrorCode(), WireError::BadRequest);
+    EXPECT_TRUE(client.connected());
 }
 
 // ---------------------------------------------------------------------

@@ -60,6 +60,15 @@ TEST(Passes, NoMergeAcrossDifferentIndices)
     EXPECT_EQ(c.size(), 2);
 }
 
+TEST(Passes, NoMergeWhoseSumOverflows)
+{
+    Circuit c(1);
+    c.rz(0, 1e308);
+    c.rz(0, 1e308);
+    EXPECT_EQ(mergeRotations(c), 0);
+    EXPECT_EQ(c.size(), 2);
+}
+
 TEST(Passes, RzCommutesThroughCxControl)
 {
     Circuit c(2);

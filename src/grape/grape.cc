@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "linalg/eig.h"
+#include "linalg/expm.h"
 #include "linalg/kernels.h"
 #include "pulse/evolve.h"
 
@@ -93,10 +94,10 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
             u[c][k] = ws.amplitude(x, c, k);
 
     // Forward pass: store the cumulative products
-    // P_k = U_{k-1} ... U_0 (partials[k]). When gradients are needed,
-    // the slice Hamiltonians are eigendecomposed so both the
-    // propagator and its exact derivative come from the same
-    // factorization.
+    // P_k = U_{k-1} ... U_0 (partials[k]). Each slice Hamiltonian is
+    // eigendecomposed; when gradients are needed the factorization is
+    // kept, so the propagator and its exact derivative come from the
+    // same one.
     std::vector<CMatrix> props(n_steps);
     std::vector<CMatrix> partials(n_steps + 1);
     std::vector<EigResult> eigs;
@@ -107,17 +108,10 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
     for (int k = 0; k < n_steps; ++k) {
         for (int c = 0; c < n_ctrl; ++c)
             amps[c] = u[c][k];
-        const CMatrix h = sliceHamiltonian(ws.device, amps);
-        if (grad) {
-            eigs[k] = eigHermitian(h);
-            std::vector<Complex> phases(d);
-            for (int i = 0; i < d; ++i)
-                phases[i] = std::polar(1.0, -dt * eigs[k].values[i]);
-            props[k] = kernels::scaledDaggerSandwich(eigs[k].vectors,
-                                                     phases);
-        } else {
-            props[k] = slicePropagator(h, dt);
-        }
+        EigResult eig = eigHermitian(sliceHamiltonian(ws.device, amps));
+        props[k] = expmHermitian(eig, dt);
+        if (grad)
+            eigs[k] = std::move(eig);
         partials[k + 1] = props[k] * partials[k];
     }
 

@@ -1,53 +1,24 @@
 #include "linalg/expm.h"
 
-#include <cmath>
 #include <vector>
 
-#include "common/logging.h"
-#include "linalg/eig.h"
 #include "linalg/kernels.h"
 
 namespace qpc {
 
 CMatrix
-expmHermitian(const CMatrix& h, Complex factor)
+expmHermitian(const EigResult& eig, double dt)
 {
-    EigResult eig = eigHermitian(h);
-    const int n = h.rows();
-    // V diag(exp(factor * lambda)) V^dagger
-    std::vector<Complex> factors(static_cast<size_t>(n));
-    for (int col = 0; col < n; ++col)
-        factors[col] = std::exp(factor * eig.values[col]);
-    return kernels::scaledDaggerSandwich(eig.vectors, factors);
+    std::vector<Complex> phases(eig.values.size());
+    for (std::size_t i = 0; i < phases.size(); ++i)
+        phases[i] = std::polar(1.0, -dt * eig.values[i]);
+    return kernels::scaledDaggerSandwich(eig.vectors, phases);
 }
 
 CMatrix
-expmGeneral(const CMatrix& a)
+expmHermitian(const CMatrix& h, double dt)
 {
-    panicIf(a.rows() != a.cols(), "expmGeneral needs a square matrix");
-    const int n = a.rows();
-
-    // Scale down so the Taylor series converges fast, then square back.
-    const double norm = a.maxAbs() * n;
-    int squarings = 0;
-    double scale = 1.0;
-    while (norm * scale > 0.5) {
-        scale *= 0.5;
-        ++squarings;
-    }
-
-    CMatrix x = a * Complex{scale, 0.0};
-    CMatrix term = CMatrix::identity(n);
-    CMatrix sum = CMatrix::identity(n);
-    const int taylor_order = 18;
-    for (int k = 1; k <= taylor_order; ++k) {
-        term = term * x;
-        term *= Complex{1.0 / k, 0.0};
-        sum += term;
-    }
-    for (int i = 0; i < squarings; ++i)
-        sum = sum * sum;
-    return sum;
+    return expmHermitian(eigHermitian(h), dt);
 }
 
 } // namespace qpc

@@ -1,33 +1,32 @@
 /**
  * @file
- * Matrix exponentials.
+ * Hermitian matrix exponential: the synthesis propagator.
  *
- * Two entry points: an eigendecomposition-based routine specialized for
- * Hermitian generators (the hot path inside GRAPE time stepping) and a
- * scaling-and-squaring Taylor routine for general matrices (used by
- * tests and by the Weyl canonical-gate constructor).
+ * GRAPE exponentiates every time slice through the eigendecomposition
+ * it also needs for the exact gradient, so the propagator and its
+ * derivative come from one factorization. The Taylor slicePropagator
+ * (pulse/evolve.h) stays deliberately independent of this path: it
+ * is the physics oracle that checks synthesized and served pulses.
  */
 
 #ifndef QPC_LINALG_EXPM_H
 #define QPC_LINALG_EXPM_H
 
+#include "linalg/eig.h"
 #include "linalg/matrix.h"
 
 namespace qpc {
 
 /**
- * exp(factor * H) for Hermitian H via eigendecomposition.
- *
- * With factor = -i dt this is the unitary propagator of one GRAPE time
- * slice. Exact for Hermitian inputs up to eigensolver tolerance.
+ * exp(-i dt H) from a factorization H = V diag(lambda) V^dagger:
+ * V diag(e^{-i dt lambda}) V^dagger. Exact for Hermitian H up to the
+ * eigensolver's tolerance; with dt a GRAPE slice width this is the
+ * slice's unitary propagator.
  */
-CMatrix expmHermitian(const CMatrix& h, Complex factor);
+CMatrix expmHermitian(const EigResult& eig, double dt);
 
-/**
- * exp(A) for a general square matrix via scaling and squaring with a
- * truncated Taylor series.
- */
-CMatrix expmGeneral(const CMatrix& a);
+/** exp(-i dt H) for Hermitian H (eigendecomposes H first). */
+CMatrix expmHermitian(const CMatrix& h, double dt);
 
 } // namespace qpc
 

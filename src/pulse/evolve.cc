@@ -29,7 +29,9 @@ slicePropagator(const CMatrix& h, double dt)
     const int n = h.rows();
 
     // Scale so the Taylor series converges fast, then square back.
-    double norm = h.frobeniusNorm() * dt;
+    // |dt|: a negative step has the same norm, and skipping the
+    // scaling would leave a diverging series.
+    const double norm = h.frobeniusNorm() * std::abs(dt);
     int squarings = 0;
     double scale = 1.0;
     while (norm * scale > 0.25) {

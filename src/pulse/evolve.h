@@ -2,9 +2,11 @@
  * @file
  * Piecewise-constant unitary evolution of control pulses.
  *
- * The forward pass of GRAPE and the verification path of the pulse
- * library both integrate the Schrodinger equation with the controls
- * held constant over each sample: U = prod_k exp(-i dt H(u_k)).
+ * Integrates the Schrodinger equation with the controls held constant
+ * over each sample: U = prod_k exp(-i dt H(u_k)). evolveUnitary is the
+ * physics oracle for synthesized and served pulses; its Taylor
+ * propagator is kept independent of GRAPE's eigendecomposition path
+ * (linalg/expm.h) on purpose, so the two cannot share a bug.
  */
 
 #ifndef QPC_PULSE_EVOLVE_H
@@ -23,8 +25,9 @@ CMatrix sliceHamiltonian(const DeviceModel& device,
                          const std::vector<double>& amplitudes);
 
 /**
- * exp(-i dt H) via scaled Taylor expansion, specialized for the small
- * norms of one GRAPE time slice (dt * ||H|| of order 1).
+ * exp(-i dt H) via scaling and squaring of a truncated Taylor series,
+ * scaled on ||H||_F * |dt| so either sign of dt converges. The oracle
+ * propagator: reached only through evolveUnitary in production.
  */
 CMatrix slicePropagator(const CMatrix& h, double dt);
 

@@ -15,26 +15,26 @@ namespace {
 constexpr char kMagic[4] = {'Q', 'P', 'L', 'S'};
 
 void
-putU32(std::vector<std::uint8_t>& out, std::uint32_t v)
+storeU32(std::uint8_t* p, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void
-putU64(std::vector<std::uint8_t>& out, std::uint64_t v)
+storeU64(std::uint8_t* p, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void
-putF64(std::vector<std::uint8_t>& out, double v)
+storeF64(std::uint8_t* p, double v)
 {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
     std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
+    storeU64(p, bits);
 }
 
 std::uint32_t
@@ -75,27 +75,36 @@ static_assert(kHeaderBytes == kPulseRecordHeaderBytes,
 
 } // namespace
 
+void
+appendPulseSchedule(std::vector<std::uint8_t>& out,
+                    const PulseSchedule& schedule,
+                    const CalibrationEpoch& epoch)
+{
+    const int channels = schedule.numChannels();
+    const std::size_t at = out.size();
+    out.resize(at + schedule.serializedBytes());
+    std::uint8_t* p = out.data() + at;
+    std::memcpy(p, kMagic, 4);
+    storeU32(p + 4, kPulseFormatVersion);
+    storeF64(p + 8, schedule.dt());
+    storeU32(p + 16, static_cast<std::uint32_t>(channels));
+    storeU64(p + 20, static_cast<std::uint64_t>(schedule.numSamples()));
+    storeU64(p + 28, epoch.counter);
+    storeU64(p + 36, epoch.modelHash);
+    p += kHeaderBytes;
+    for (int c = 0; c < channels; ++c)
+        for (double v : schedule.channel(c)) {
+            storeF64(p, v);
+            p += 8;
+        }
+}
+
 std::vector<std::uint8_t>
 serializePulseSchedule(const PulseSchedule& schedule,
                        const CalibrationEpoch& epoch)
 {
-    const int channels = schedule.numChannels();
-    const int samples = schedule.numSamples();
-
     std::vector<std::uint8_t> out;
-    out.reserve(kHeaderBytes +
-                static_cast<std::size_t>(channels) * samples * 8);
-    for (char m : kMagic)
-        out.push_back(static_cast<std::uint8_t>(m));
-    putU32(out, kPulseFormatVersion);
-    putF64(out, schedule.dt());
-    putU32(out, static_cast<std::uint32_t>(channels));
-    putU64(out, static_cast<std::uint64_t>(samples));
-    putU64(out, epoch.counter);
-    putU64(out, epoch.modelHash);
-    for (int c = 0; c < channels; ++c)
-        for (double v : schedule.channel(c))
-            putF64(out, v);
+    appendPulseSchedule(out, schedule, epoch);
     return out;
 }
 

@@ -50,6 +50,15 @@ serializePulseSchedule(const PulseSchedule& schedule,
                        const CalibrationEpoch& epoch = {});
 
 /**
+ * Append a schedule's record (exactly schedule.serializedBytes()
+ * bytes, identical to serializePulseSchedule's) to `out` in place,
+ * so a record can be encoded straight into a larger message body.
+ */
+void appendPulseSchedule(std::vector<std::uint8_t>& out,
+                         const PulseSchedule& schedule,
+                         const CalibrationEpoch& epoch = {});
+
+/**
  * Decode a schedule; nullopt when the bytes are not a well-formed
  * version-1 or version-2 record (bad magic, unsupported version, size
  * mismatch, non-positive dt with channels present). When `epoch` is

@@ -10,8 +10,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "pulse/serialize.h"
-
 namespace qpc {
 
 CompileClient::CompileClient(ClientOptions options)
@@ -472,7 +470,7 @@ CompileClient::serve(std::uint64_t plan_id,
     out.epochCounter = r.u64();
     out.numSegments = r.u32();
     if (want_pulses) {
-        // Each pulse record is a length-prefixed blob, so it occupies
+        // Each pulse record is length-prefixed, so it occupies
         // at least 4 bytes of payload: a segment count larger than
         // remaining/4 is lying, and trusting it for reserve() would
         // let a hostile server force a multi-GB allocation.
@@ -484,9 +482,7 @@ CompileClient::serve(std::uint64_t plan_id,
         }
         out.pulses.reserve(out.numSegments);
         for (std::uint32_t i = 0; i < out.numSegments && r.ok(); ++i) {
-            const std::vector<std::uint8_t> record = r.blob();
-            std::optional<PulseSchedule> pulse =
-                deserializePulseSchedule(record);
+            std::optional<PulseSchedule> pulse = r.pulse();
             if (!pulse) {
                 fail(WireError::Internal,
                      "malformed pulse record in ServeOk");

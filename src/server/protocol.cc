@@ -10,6 +10,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "pulse/serialize.h"
+
 namespace qpc {
 
 namespace {
@@ -191,10 +193,10 @@ WireWriter::str(const std::string& s)
 }
 
 void
-WireWriter::blob(const std::vector<std::uint8_t>& b)
+WireWriter::pulse(const PulseSchedule& schedule)
 {
-    u32(static_cast<std::uint32_t>(b.size()));
-    raw(b.data(), b.size());
+    u32(static_cast<std::uint32_t>(schedule.serializedBytes()));
+    appendPulseSchedule(bytes_, schedule);
 }
 
 void
@@ -266,14 +268,14 @@ WireReader::str()
     return std::string(reinterpret_cast<const char*>(p), n);
 }
 
-std::vector<std::uint8_t>
-WireReader::blob()
+std::optional<PulseSchedule>
+WireReader::pulse()
 {
     const std::uint32_t n = u32();
     const std::uint8_t* p = take(n);
     if (!p)
-        return {};
-    return std::vector<std::uint8_t>(p, p + n);
+        return std::nullopt;
+    return deserializePulseSchedule(p, n);
 }
 
 WireWriter

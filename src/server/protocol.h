@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "ir/circuit.h"
+#include "pulse/schedule.h"
 #include "telemetry/metrics.h"
 
 namespace qpc {
@@ -144,8 +145,8 @@ class WireWriter
     void f64(double v);
     /** u32 length + raw bytes. */
     void str(const std::string& s);
-    /** u32 length + raw bytes. */
-    void blob(const std::vector<std::uint8_t>& b);
+    /** u32 length + one pulse record, encoded in place. */
+    void pulse(const PulseSchedule& schedule);
     /** Pre-size the body, so a large reply is one allocation. */
     void reserve(std::size_t n) { bytes_.reserve(n); }
     /** Raw bytes, no length prefix (self-delimiting sub-records). */
@@ -183,7 +184,11 @@ class WireReader
     double f64();
     /** u32 length + bytes; empty (and !ok()) on a lying length. */
     std::string str();
-    std::vector<std::uint8_t> blob();
+    /**
+     * u32 length + one pulse record, decoded in place; nullopt on a
+     * short read (which latches !ok()) or a malformed record.
+     */
+    std::optional<PulseSchedule> pulse();
 
     /** False once any read ran past the available bytes. */
     bool ok() const { return ok_; }

@@ -16,7 +16,6 @@
 
 #include "common/logging.h"
 #include "partial/strict.h"
-#include "pulse/serialize.h"
 #include "telemetry/trace.h"
 
 namespace qpc {
@@ -736,7 +735,7 @@ CompileServer::handleRequest(Session& session,
         w.u32(static_cast<std::uint32_t>(served.segments.size()));
         if (want_pulses)
             for (const PulsePtr& segment : served.segments)
-                w.blob(serializePulseSchedule(*segment));
+                w.pulse(*segment);
         return sendFrame(session.fd, w.bytes());
     }
 

@@ -6,6 +6,7 @@
 #include "linalg/expm.h"
 #include "linalg/random_unitary.h"
 #include "linalg/su2.h"
+#include "pulse/evolve.h"
 #include "testutil.h"
 
 namespace {
@@ -80,8 +81,8 @@ TEST(Eig, DegenerateSpectrum)
 TEST(Expm, ZeroGivesIdentity)
 {
     const CMatrix z = CMatrix::zeros(4, 4);
-    EXPECT_TRUE(expmGeneral(z).approxEqual(CMatrix::identity(4),
-                                           1e-12));
+    EXPECT_TRUE(expmHermitian(z, 1.0).approxEqual(CMatrix::identity(4),
+                                                  1e-12));
 }
 
 TEST(Expm, HermitianGivesRotations)
@@ -89,21 +90,42 @@ TEST(Expm, HermitianGivesRotations)
     // exp(-i theta X / 2) = Rx(theta).
     for (double theta : {0.3, 1.0, 2.5, -1.7}) {
         const CMatrix gen = pauliX();
-        const CMatrix u =
-            expmHermitian(gen, Complex{0.0, -theta / 2.0});
+        const CMatrix u = expmHermitian(gen, theta / 2.0);
         EXPECT_TRUE(u.approxEqual(rxMatrix(theta), 1e-10))
             << "theta " << theta;
     }
 }
 
-TEST(Expm, GeneralMatchesHermitianPath)
+// The synthesis propagator (eigendecomposition) and the oracle
+// (scaled Taylor series) are independent implementations of the same
+// exp(-i dt H); they must agree at every block width GRAPE serves,
+// for either sign of the step.
+TEST(Expm, SynthesisMatchesOracle)
 {
     Rng rng(12);
-    const CMatrix u = haarUnitary(4, rng);
-    CMatrix h = u + u.dagger();
-    const CMatrix via_eig = expmHermitian(h, Complex{0.0, -0.37});
-    const CMatrix via_taylor = expmGeneral(h * Complex{0.0, -0.37});
-    EXPECT_LT(via_eig.maxAbsDiff(via_taylor), 1e-9);
+    for (int dim : {4, 8, 16}) {
+        const CMatrix u = haarUnitary(dim, rng);
+        const CMatrix h = u + u.dagger();
+        for (double dt : {0.37, -0.37, 2.0, -2.0}) {
+            EXPECT_LT(expmHermitian(h, dt).maxAbsDiff(
+                          slicePropagator(h, dt)),
+                      1e-9)
+                << "dim " << dim << " dt " << dt;
+        }
+    }
+}
+
+// A negative step must scale the Taylor series like a positive one:
+// unscaled, ||dt H|| ~ 8 leaves the truncated series far from unitary.
+TEST(Expm, OracleNegativeStepStaysUnitary)
+{
+    Rng rng(21);
+    const CMatrix u = haarUnitary(8, rng);
+    const CMatrix h = u + u.dagger();
+    const CMatrix back = slicePropagator(h, -2.0);
+    EXPECT_TRUE(back.isUnitary(1e-10));
+    EXPECT_LT(back.maxAbsDiff(expmHermitian(h, -2.0)), 1e-10);
+    EXPECT_LT(back.maxAbsDiff(slicePropagator(h, 2.0).dagger()), 1e-10);
 }
 
 TEST(Expm, ExponentialOfHermitianIsUnitary)
@@ -112,7 +134,7 @@ TEST(Expm, ExponentialOfHermitianIsUnitary)
     for (int trial = 0; trial < 5; ++trial) {
         const CMatrix u = haarUnitary(8, rng);
         CMatrix h = u + u.dagger();
-        const CMatrix e = expmHermitian(h, Complex{0.0, -1.0});
+        const CMatrix e = expmHermitian(h, 1.0);
         EXPECT_TRUE(e.isUnitary(1e-9));
     }
 }

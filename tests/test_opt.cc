@@ -215,8 +215,8 @@ TEST(NelderMead, ParallelEvaluationBitIdenticalAcrossWorkerCounts)
                   serial.result.evaluations);
         EXPECT_EQ(pooled.result.converged, serial.result.converged);
 
-        // The onIteration stream — what refinetrigger's step-norm
-        // gate and cooldown see — is identical too, so adaptive-grid
+        // The onIteration stream — what the hybrid loop's refinement
+        // trigger gates on — is identical too, so adaptive-grid
         // refinement fires at the same iterations at any worker
         // count.
         ASSERT_EQ(pooled.stream.size(), serial.stream.size())

@@ -104,8 +104,7 @@ TEST(QaoaCircuit, CostLayerImplementsZzEvolution)
 
     PauliHamiltonian zz(2);
     zz.add(1.0, "ZZ");
-    CMatrix expected =
-        expmGeneral(zz.toMatrix() * Complex{0.0, -gamma});
+    CMatrix expected = expmHermitian(zz.toMatrix(), gamma);
     expected = expected * kron(hMatrix(), hMatrix());
     EXPECT_TRUE(sameUpToPhase(expected, realized, 1e-8));
 }

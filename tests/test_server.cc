@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "ir/circuit.h"
 #include "ir/param.h"
+#include "pulse/serialize.h"
 #include "runtime/service.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -152,7 +153,9 @@ TEST(Wire, WriterReaderRoundTrip)
     w.i32(-42);
     w.f64(-0.0);
     w.str("tenant");
-    w.blob({1, 2, 3});
+    PulseSchedule pulse(2, 3, 0.5);
+    pulse.channel(1)[2] = -1.25;
+    w.pulse(pulse);
 
     WireReader r(w.bytes());
     EXPECT_EQ(r.u8(), 7);
@@ -163,8 +166,33 @@ TEST(Wire, WriterReaderRoundTrip)
     EXPECT_EQ(z, 0.0);
     EXPECT_TRUE(std::signbit(z));
     EXPECT_EQ(r.str(), "tenant");
-    EXPECT_EQ(r.blob(), (std::vector<std::uint8_t>{1, 2, 3}));
+    const std::optional<PulseSchedule> back = r.pulse();
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->numChannels(), 2);
+    EXPECT_EQ(back->numSamples(), 3);
+    EXPECT_EQ(back->dt(), 0.5);
+    EXPECT_EQ(back->channel(1)[2], -1.25);
     EXPECT_TRUE(r.done());
+}
+
+TEST(Wire, PulseRecordIsLengthPrefixedSerializedSchedule)
+{
+    // The in-place encoding must put exactly the disk-format record on
+    // the wire: u32 length, then serializePulseSchedule's bytes.
+    PulseSchedule pulse(3, 5, 0.25);
+    for (int c = 0; c < 3; ++c)
+        for (int k = 0; k < 5; ++k)
+            pulse.channel(c)[k] = std::sin(1.0 + c * 5 + k);
+    WireWriter w;
+    w.u8(9);
+    w.pulse(pulse);
+
+    WireWriter expected;
+    expected.u8(9);
+    const std::vector<std::uint8_t> record = serializePulseSchedule(pulse);
+    expected.u32(static_cast<std::uint32_t>(record.size()));
+    expected.raw(record.data(), record.size());
+    EXPECT_EQ(w.bytes(), expected.bytes());
 }
 
 TEST(Wire, ReaderLatchesOnShortRead)

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/expm.h"
+#include "qaoa/qaoadriver.h"
 #include "sim/statevector.h"
 #include "testutil.h"
 #include "vqe/hamiltonian.h"
@@ -98,8 +99,8 @@ TEST(PauliEvolution, MatchesMatrixExponentialSingleString)
 
         PauliHamiltonian h(n);
         h.add(1.0, paulis);
-        const CMatrix expected = expmGeneral(
-            h.toMatrix() * Complex{0.0, -test.theta / 2.0});
+        const CMatrix expected =
+            expmHermitian(h.toMatrix(), test.theta / 2.0);
         EXPECT_TRUE(sameUpToPhase(expected, realized, 1e-8))
             << paulis << " theta " << test.theta;
     }
@@ -151,22 +152,25 @@ TEST(VqeDriver, EnergyNeverBelowExactGround)
 }
 
 // Regression for the parallel-optimizer iteration semantics: the
-// refinetrigger's step-norm gate and cooldown key off the onIteration
-// stream, so adaptive-grid refinement must fire at the same
-// iterations — and produce the same grid, served angles, and energy —
-// no matter how many workers evaluate the simplex.
+// hybrid loop's refinement trigger keys its step-norm gate and
+// cooldown off the onIteration stream, so adaptive-grid refinement
+// must fire at the same iterations — and produce the same grid,
+// served angles, and answer — no matter how many workers evaluate the
+// simplex. Both drivers run that one loop, so both are checked.
 TEST(VqeDriver, AdaptiveRefinementIdenticalAcrossOptimizerThreads)
 {
     const MoleculeSpec& spec = moleculeByName("H2");
     const Circuit ansatz = buildOptimizedUccsd(spec);
     const PauliHamiltonian hamiltonian = h2Hamiltonian();
+    const Graph graph = cycleGraph(4);
 
     struct Run
     {
-        VqeResult result;
+        HybridLoopResult result;
+        double value = 0.0; ///< VQE energy or QAOA best cost.
         std::vector<std::pair<int, double>> stream; ///< (iter, step).
     };
-    auto run = [&](int optimizer_threads) {
+    auto run = [&](bool qaoa, int optimizer_threads) {
         Run out;
         CompileServiceOptions service;
         service.numWorkers = 2;
@@ -175,56 +179,77 @@ TEST(VqeDriver, AdaptiveRefinementIdenticalAcrossOptimizerThreads)
         service.quantization.bins = 32;
         service.quantization.splitVisitThreshold = 4;
 
-        VqeRunOptions options;
-        options.optimizer.maxIterations = 150;
-        options.optimizer.onIteration =
-            [&](const NelderMeadIterationInfo& info) {
-                out.stream.emplace_back(info.iteration, info.stepNorm);
-            };
-        options.optimizerThreads = optimizer_threads;
-        options.serviceOptions = service;
-        out.result = runVqe(ansatz, hamiltonian, options);
+        auto configure = [&](HybridLoopOptions& options) {
+            options.optimizer.maxIterations = 150;
+            options.optimizer.onIteration =
+                [&](const NelderMeadIterationInfo& info) {
+                    out.stream.emplace_back(info.iteration,
+                                            info.stepNorm);
+                };
+            options.optimizerThreads = optimizer_threads;
+            options.serviceOptions = service;
+        };
+        if (qaoa) {
+            QaoaRunOptions options;
+            options.p = 2;
+            configure(options);
+            const QaoaResult result = runQaoa(graph, options);
+            out.result = result;
+            out.value = result.bestCost;
+        } else {
+            VqeRunOptions options;
+            configure(options);
+            const VqeResult result = runVqe(ansatz, hamiltonian, options);
+            out.result = result;
+            out.value = result.energy;
+        }
         return out;
     };
 
-    // Baseline at one worker: pooled runs speculate the expansion
-    // point, and under quantized serving each speculative evaluation
-    // is a real serve that bumps adaptive visit counters — so the
-    // speculation-free serial run is a *different workload*, not a
-    // different schedule. What must be invariant is the worker count:
-    // 1, 2, and 8 workers make exactly the same objective calls and
-    // must land on exactly the same grid, iterations, and energy.
-    const Run serial = run(1);
-    // The coarse grid must actually have refined, or this proves
-    // nothing about trigger timing.
-    ASSERT_GT(serial.result.quantRefineRounds, 0);
+    for (bool qaoa : {false, true}) {
+        SCOPED_TRACE(qaoa ? "runQaoa" : "runVqe");
+        // Baseline at one worker: pooled runs speculate the expansion
+        // point, and under quantized serving each speculative
+        // evaluation is a real serve that bumps adaptive visit
+        // counters — so the speculation-free serial run is a
+        // *different workload*, not a different schedule. What must be
+        // invariant is the worker count: 1, 2, and 8 workers make
+        // exactly the same objective calls and must land on exactly
+        // the same grid, iterations, and answer.
+        const Run serial = run(qaoa, 1);
+        // The coarse grid must actually have refined, or this proves
+        // nothing about trigger timing.
+        ASSERT_GT(serial.result.quantRefineRounds, 0);
 
-    for (int workers : {2, 8}) {
-        const Run pooled = run(workers);
-        // Same refinement activity...
-        EXPECT_EQ(pooled.result.quantRefineRounds,
-                  serial.result.quantRefineRounds)
-            << workers << " workers";
-        EXPECT_EQ(pooled.result.quantSplits, serial.result.quantSplits);
-        // ...the same iteration stream feeding the trigger gate...
-        ASSERT_EQ(pooled.stream.size(), serial.stream.size())
-            << workers << " workers";
-        for (size_t i = 0; i < serial.stream.size(); ++i) {
-            EXPECT_EQ(pooled.stream[i].first, serial.stream[i].first);
-            EXPECT_EQ(pooled.stream[i].second,
-                      serial.stream[i].second)
-                << workers << " workers, iteration " << i;
+        for (int workers : {2, 8}) {
+            const Run pooled = run(qaoa, workers);
+            // Same refinement activity...
+            EXPECT_EQ(pooled.result.quantRefineRounds,
+                      serial.result.quantRefineRounds)
+                << workers << " workers";
+            EXPECT_EQ(pooled.result.quantSplits,
+                      serial.result.quantSplits);
+            // ...the same iteration stream feeding the trigger gate...
+            ASSERT_EQ(pooled.stream.size(), serial.stream.size())
+                << workers << " workers";
+            for (size_t i = 0; i < serial.stream.size(); ++i) {
+                EXPECT_EQ(pooled.stream[i].first, serial.stream[i].first);
+                EXPECT_EQ(pooled.stream[i].second,
+                          serial.stream[i].second)
+                    << workers << " workers, iteration " << i;
+            }
+            // ...and a bit-identical answer.
+            EXPECT_EQ(pooled.value, serial.value);
+            ASSERT_EQ(pooled.result.bestParams.size(),
+                      serial.result.bestParams.size());
+            for (size_t i = 0; i < serial.result.bestParams.size(); ++i)
+                EXPECT_EQ(pooled.result.bestParams[i],
+                          serial.result.bestParams[i]);
+            EXPECT_EQ(pooled.result.iterations,
+                      serial.result.iterations);
+            EXPECT_EQ(pooled.result.finalQuantErrorBound,
+                      serial.result.finalQuantErrorBound);
         }
-        // ...and a bit-identical answer.
-        EXPECT_EQ(pooled.result.energy, serial.result.energy);
-        ASSERT_EQ(pooled.result.bestParams.size(),
-                  serial.result.bestParams.size());
-        for (size_t i = 0; i < serial.result.bestParams.size(); ++i)
-            EXPECT_EQ(pooled.result.bestParams[i],
-                      serial.result.bestParams[i]);
-        EXPECT_EQ(pooled.result.iterations, serial.result.iterations);
-        EXPECT_EQ(pooled.result.finalQuantErrorBound,
-                  serial.result.finalQuantErrorBound);
     }
 }
 

@@ -246,6 +246,10 @@ benchSubstrate()
     const DeviceModel device = DeviceModel::gmonLine(4);
     std::vector<double> amps(device.numControls(), 0.1);
     const CMatrix h = sliceHamiltonian(device, amps);
+    // The width-3 clique device of the cold-compile benchmark: dim 8.
+    const DeviceModel clique3 = DeviceModel::gmonClique(3);
+    const CMatrix h8 = sliceHamiltonian(
+        clique3, std::vector<double>(clique3.numControls(), 0.1));
     const CMatrix a = haarUnitary(16, rng);
     const CMatrix b = haarUnitary(16, rng);
     const DeviceModel device2q = DeviceModel::gmonLine(2);
@@ -263,6 +267,10 @@ benchSubstrate()
         {"propagator16", nsPerOp([&] {
              CMatrix u = slicePropagator(h, 0.05);
              clobber(u.data());
+         })},
+        {"eig8", nsPerOp([&] {
+             EigResult eig = eigHermitian(h8);
+             clobber(eig.values.data());
          })},
         {"eig16", nsPerOp([&] {
              EigResult eig = eigHermitian(h);

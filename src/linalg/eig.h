@@ -1,11 +1,15 @@
 /**
  * @file
- * Complex Hermitian eigensolver (cyclic Jacobi).
+ * Complex Hermitian eigensolver (Householder tridiagonalization plus
+ * implicit QL, the zhetrd/zsteqr structure).
  *
- * GRAPE exponentiates a Hermitian control Hamiltonian at every time
- * step; at block sizes of at most 4 qubits (16x16, or 81x81 for qutrit
- * models) Jacobi iteration is simple, numerically robust, and fast
- * enough without pulling in an external LAPACK.
+ * GRAPE eigendecomposes a Hermitian control Hamiltonian at every time
+ * step of every iteration, at block sizes of at most 4 qubits (16x16,
+ * or 81x81 for qutrit models). Reducing to a real tridiagonal first
+ * costs O(n^3) once, after which each QL sweep is O(n) plus the
+ * eigenvector rotations, with no external LAPACK. The library keeps
+ * this one eigensolver; a cyclic Jacobi solver lives in the tests as
+ * an independent oracle.
  */
 
 #ifndef QPC_LINALG_EIG_H
@@ -27,13 +31,18 @@ struct EigResult
 };
 
 /**
- * Diagonalize a complex Hermitian matrix with cyclic Jacobi rotations.
+ * Diagonalize a complex Hermitian matrix: Householder reflections
+ * reduce it to a Hermitian tridiagonal, a diagonal phase makes the
+ * off-diagonals real, and implicit QL with Wilkinson shifts finishes
+ * the real tridiagonal while accumulating the eigenvectors. Real
+ * symmetric input yields real eigenvectors.
  *
- * @param a Hermitian input (validated within tolerance).
- * @param tol Convergence threshold on the off-diagonal Frobenius mass.
+ * @param a Hermitian input (validated within 1e-9; panics otherwise).
  * @return Eigenvalues (ascending) and orthonormal eigenvectors.
+ * @throws std::invalid_argument if an entry is NaN or infinite, or the
+ *         QL iteration runs out of its 30 n step budget.
  */
-EigResult eigHermitian(const CMatrix& a, double tol = 1e-13);
+EigResult eigHermitian(const CMatrix& a);
 
 /**
  * Simultaneously diagonalize two commuting real-symmetric matrices that

@@ -184,9 +184,15 @@ CMatrix::maxAbsDiff(const CMatrix& other) const
 {
     panicIf(rows_ != other.rows_ || cols_ != other.cols_,
             "matrix shape mismatch in maxAbsDiff");
+    // NaN compares false against everything, so std::max would drop it
+    // and call a NaN matrix equal to anything; return it instead.
     double best = 0.0;
-    for (size_t i = 0; i < data_.size(); ++i)
-        best = std::max(best, std::abs(data_[i] - other.data_[i]));
+    for (size_t i = 0; i < data_.size(); ++i) {
+        const double d = std::abs(data_[i] - other.data_[i]);
+        if (std::isnan(d))
+            return d;
+        best = std::max(best, d);
+    }
     return best;
 }
 

@@ -82,7 +82,8 @@ class CMatrix
     /** max_ij |a_ij|. */
     double maxAbs() const;
 
-    /** Largest elementwise |difference| to another matrix. */
+    /** Largest elementwise |difference| to another matrix; NaN when
+     *  any difference is NaN, so a NaN matrix is never approxEqual. */
     double maxAbsDiff(const CMatrix& other) const;
 
     /** True when maxAbsDiff(other) <= tol. */

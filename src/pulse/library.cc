@@ -10,6 +10,17 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/**
+ * Map -0.0 to +0.0. An identity rotation yields a zero amplitude whose
+ * sign follows the angle's; Rx(0), Rz(0) and Rx(-0.0) share one cache
+ * entry, so their served bytes must not depend on which one filled it.
+ */
+double
+positiveZero(double amp)
+{
+    return amp == 0.0 ? 0.0 : amp;
+}
+
 } // namespace
 
 GatePulseLibrary::GatePulseLibrary(const DeviceModel& device, double dt)
@@ -49,7 +60,7 @@ GatePulseLibrary::rz(int qubit, double theta) const
     const int samples = std::max(1, static_cast<int>(
                                         std::ceil(total / dt_)));
     // Stretch amplitude so the discretized area matches exactly.
-    const double amp = -theta / (samples * dt_);
+    const double amp = positiveZero(-theta / (samples * dt_));
     PulseSchedule schedule = empty(samples);
     auto& ch = schedule.channel(2 * qubit + 1);
     for (double& v : ch)
@@ -66,7 +77,7 @@ GatePulseLibrary::rx(int qubit, double theta) const
     const double total = std::abs(theta) / (2.0 * w_max);
     const int samples = std::max(1, static_cast<int>(
                                         std::ceil(total / dt_)));
-    const double amp = theta / (2.0 * samples * dt_);
+    const double amp = positiveZero(theta / (2.0 * samples * dt_));
     PulseSchedule schedule = empty(samples);
     auto& ch = schedule.channel(2 * qubit);
     for (double& v : ch)
@@ -92,7 +103,7 @@ GatePulseLibrary::xx(int qubit_a, int qubit_b, double c) const
     const double total = std::abs(c) / g_max;
     const int samples = std::max(1, static_cast<int>(
                                         std::ceil(total / dt_)));
-    const double amp = c / (samples * dt_);
+    const double amp = positiveZero(c / (samples * dt_));
     PulseSchedule schedule = empty(samples);
     auto& ch = schedule.channel(couplerChannel(qubit_a, qubit_b));
     for (double& v : ch)

@@ -135,6 +135,27 @@ TEST(Matrix, NormsAndDiffs)
     EXPECT_FALSE(id.approxEqual(other, 0.1));
 }
 
+// A NaN anywhere must make a matrix unequal to everything, itself
+// included, and fail the Hermitian and unitary checks built on it.
+TEST(Matrix, NaNIsNeverApproxEqual)
+{
+    CMatrix bad = CMatrix::identity(4);
+    bad(1, 2) = std::nan("");
+    bad(2, 1) = std::nan("");
+    EXPECT_TRUE(std::isnan(bad.maxAbsDiff(CMatrix::identity(4))));
+    EXPECT_TRUE(std::isnan(CMatrix::identity(4).maxAbsDiff(bad)));
+    EXPECT_FALSE(bad.approxEqual(CMatrix::identity(4), 1.0));
+    EXPECT_FALSE(bad.approxEqual(bad, 1.0));
+    EXPECT_FALSE(bad.isHermitian(1.0));
+    EXPECT_FALSE(bad.isUnitary(1.0));
+
+    // A NaN after a large finite difference still wins.
+    CMatrix late = CMatrix::identity(2);
+    late(0, 0) = 5.0;
+    late(1, 1) = std::nan("");
+    EXPECT_TRUE(std::isnan(late.maxAbsDiff(CMatrix::identity(2))));
+}
+
 TEST(Matrix, HaarUnitariesAreUnitary)
 {
     Rng rng(8);

@@ -179,6 +179,27 @@ TEST(Library, RotationPulsesWrapWholeTurns)
     }
 }
 
+// Rx(0), Rz(0) and Rx(-0.0) are one identity rotation and share one
+// cache entry, so they must serialize to the same bytes: no sample may
+// carry a -0.0 whose sign follows the spelling of the angle.
+TEST(Library, IdentityRotationsServeIdenticalBytes)
+{
+    const DeviceModel dev = DeviceModel::gmonLine(2);
+    const GatePulseLibrary lib(dev, 0.01);
+    const PulseSchedule pulses[] = {lib.rx(0, 0.0), lib.rz(0, 0.0),
+                                    lib.rx(0, -0.0), lib.rz(0, -0.0),
+                                    lib.xx(0, 1, 0.0), lib.xx(0, 1, -0.0)};
+    for (const PulseSchedule& pulse : pulses)
+        for (int c = 0; c < pulse.numChannels(); ++c)
+            for (double v : pulse.channel(c))
+                EXPECT_FALSE(std::signbit(v)) << "channel " << c;
+
+    const std::vector<std::uint8_t> rx0 = serializePulseSchedule(pulses[0]);
+    EXPECT_EQ(serializePulseSchedule(pulses[1]), rx0);
+    EXPECT_EQ(serializePulseSchedule(pulses[2]), rx0);
+    EXPECT_EQ(serializePulseSchedule(pulses[3]), rx0);
+}
+
 TEST(Library, PulsesRespectAmplitudeBounds)
 {
     const DeviceModel dev = DeviceModel::gmonLine(2);
